@@ -274,12 +274,13 @@ class ClientAnalyzer:
         if not self._cache_loaded:
             self._cache_loaded = True
             if self.analysis_cache_dir:
-                from repro.engine.cache import program_fingerprint
                 from repro.solve.cache import AnalysisResultCache
 
+                # the canonical digest, unlike a pretty-print fingerprint, does
+                # not follow the process's hash seed, so a restart still hits
                 self._cache = AnalysisResultCache(
                     self.analysis_cache_dir,
-                    spec_key=program_fingerprint(self.base_program),
+                    spec_key=program_digest(self.base_program),
                     worker=self.analysis_cache_worker,
                 )
         return self._cache

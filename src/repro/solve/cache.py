@@ -3,13 +3,14 @@
 A flow report is fully determined by two inputs: the analysis-invariant base
 program (library stubs + framework + compiled specifications) and the client
 program itself.  The cache therefore keys every entry by ``(spec key,
-program digest)`` -- the spec key is the SHA-256 fingerprint of the merged
-base program (any spec version, library, or framework change invalidates
-transparently), the program digest is the canonical encoding digest from
-:func:`repro.lang.serialize.program_digest`.  Repeated or shared client
-fragments never re-solve: the stored flows come back verbatim, and because
-flow reports are canonically sorted, a cached answer is bit-identical to a
-fresh one.
+program digest)`` -- both are canonical encoding digests from
+:func:`repro.lang.serialize.program_digest`, the spec key of the merged base
+program (any spec version, library, or framework change invalidates
+transparently) and the program digest of the client.  Neither depends on the
+process's hash seed, so a restarted worker finds its own entries.  Repeated
+or shared client fragments never re-solve: the stored flows come back
+verbatim, and because flow reports are canonically sorted, a cached answer
+is bit-identical to a fresh one.
 
 On disk the cache is append-only JSON lines, like
 :class:`repro.engine.cache.PersistentCache`: crash-safe (a truncated last

@@ -4,12 +4,25 @@ import random
 
 from repro.pointsto.cfl import CFLSolver
 from repro.pointsto.grammar import NULLABLE, Production, build_cpt_grammar
-from repro.pointsto.labels import Symbol
+from repro.pointsto.labels import (
+    ALIAS,
+    ASSIGN,
+    ASSIGN_BAR,
+    FLOWS_TO,
+    NEW,
+    NEW_BAR,
+    Symbol,
+    load,
+    load_bar,
+    store,
+    store_bar,
+)
 from repro.solve import BitsetCFLSolver
 
 A = Symbol("A")
 B = Symbol("B")
 C = Symbol("C")
+D = Symbol("D")
 S = Symbol("S")
 
 
@@ -108,19 +121,46 @@ def test_reaching_sources_filters_candidates():
 
 # ----------------------------------------------------------------------- fork
 def test_fork_isolates_parent_from_child():
-    solver = BitsetCFLSolver([Production(S, (A,))], nullable=())
+    grammar = [Production(S, (A,)), Production(D, (S, B))]
+    solver = BitsetCFLSolver(grammar, nullable=())
     solver.add_edge(1, A, 2)
     solver.solve()
     child = solver.fork()
-    child.add_edge(2, A, 3)
+    # edges out of and into nodes the parent has too (their symbol masks)
+    for source, symbol, target in [(2, A, 3), (2, B, 3), (2, A, 1)]:
+        child.add_edge(source, symbol, target)
     child.solve()
     assert child.has_edge(2, S, 3)
+    assert child.has_edge(1, D, 3)
     assert not solver.has_edge(2, S, 3)
-    # and the parent keeps working independently
-    solver.add_edge(2, A, 4)
+    # the child's grammar grows, extending index entries the parent holds too
+    # (A's unary rules, and the S-B join that already produces D)
+    late = [Production(C, (A,)), Production(C, (S, B))]
+    assert child.add_productions(late) == 2
+    sibling = solver.fork()
+    # and the parent keeps working independently, on its own grammar and
+    # edges only: C is not even interned here, so count every derived edge
+    # against a solver that never saw the child's productions or edges
+    parent_edges = [(1, A, 2), (2, A, 4), (4, B, 5), (7, A, 2), (1, B, 8)]
+    for source, symbol, target in parent_edges[1:]:
+        solver.add_edge(source, symbol, target)
     solver.solve()
+    reference = CFLSolver(grammar, nullable=())
+    for source, symbol, target in parent_edges:
+        reference.add_edge(source, symbol, target)
+    reference.solve()
     assert solver.has_edge(2, S, 4)
+    assert solver.has_edge(2, D, 5)
+    assert solver.total_edges == reference.total_edges
+    for symbol in (A, B, S, D):
+        assert sorted(solver.edges(symbol)) == sorted(reference.edges(symbol))
+    assert solver.edge_count(C) == 0
     assert not child.has_edge(2, S, 4)
+    assert sibling.add_productions(late) == 2
+    child.add_edge(3, B, 6)
+    child.solve()
+    assert child.has_edge(1, C, 3)
+    assert child.has_edge(2, C, 6)
 
 
 # --------------------------------------------------------------------- parity
@@ -147,3 +187,68 @@ def test_randomized_parity_with_reference_solver():
             assert sorted(compiled.edges(production.lhs)) == sorted(
                 reference.edges(production.lhs)
             )
+
+
+def test_late_productions_match_a_reference_given_the_full_grammar():
+    """Field productions arriving mid-stream derive exactly the up-front closure.
+
+    Field ``f`` is in the starting grammar.  ``g``'s productions arrive before
+    any ``g`` edge (one side of each rule empty), ``h``'s once every ``h``
+    label has edges and the solver is at fixpoint, two unary productions at a
+    random point, and the rest of the stream goes to a fork of a solved state.
+    """
+    unary = [
+        Production(Symbol("Stored"), (store("h"),)),
+        Production(Symbol("Points"), (FLOWS_TO,)),
+    ]
+    grammar = {field: build_cpt_grammar((field,)) for field in ("f", "g", "h")}
+    full = list(dict.fromkeys(grammar["f"] + grammar["g"] + grammar["h"] + unary))
+    symbols = sorted(
+        {symbol for production in full for symbol in (production.lhs, *production.rhs)}, key=str
+    )
+    base_labels = [ASSIGN, ASSIGN_BAR, NEW, NEW_BAR, ALIAS]
+
+    def labels(field):
+        return [store(field), load(field), store_bar(field), load_bar(field)]
+
+    rng = random.Random(2018)
+
+    def edge(pool):
+        return rng.randrange(10), rng.choice(pool), rng.randrange(10)
+
+    for _ in range(12):
+        head_pool = base_labels + labels("f") + labels("h")
+        # every h label (and Alias) has an edge before h's productions arrive
+        head = [edge([label]) for label in labels("h") + [ALIAS]]
+        head += [edge(head_pool) for _ in range(30)]
+        rng.shuffle(head)
+        tail = [edge(head_pool + labels("g")) for _ in range(30)]
+        stream = head + tail
+        g_at = rng.randrange(len(head))
+        h_at = len(head) + rng.randrange(len(tail))
+        unary_at = rng.randrange(len(stream))
+        fork_at = len(head) + rng.randrange(len(tail))
+
+        reference = CFLSolver(full, nullable=NULLABLE)
+        compiled = BitsetCFLSolver(grammar["f"], nullable=NULLABLE)
+        for index, (source, symbol, target) in enumerate(stream):
+            if index == fork_at:
+                compiled.solve()
+                compiled = compiled.fork()
+            if index == g_at:
+                assert all(compiled.edge_count(label) == 0 for label in labels("g"))
+                assert compiled.add_productions(grammar["g"]) == 6
+            if index == h_at:
+                compiled.solve()
+                assert compiled.add_productions(grammar["h"]) == 6
+            if index == unary_at:
+                assert compiled.add_productions(unary) == 2
+            if rng.random() < 0.2:
+                compiled.solve()
+            reference.add_edge(source, symbol, target)
+            compiled.add_edge(source, symbol, target)
+        reference.solve()
+        compiled.solve()
+        assert compiled.total_edges == reference.total_edges
+        for symbol in symbols:
+            assert sorted(compiled.edges(symbol)) == sorted(reference.edges(symbol)), symbol

@@ -2,7 +2,10 @@
 
 import json
 import os
+import subprocess
+import sys
 
+import repro.cli
 from repro.cli import main
 from repro.solve import (
     ANALYSIS_CACHE_BASENAME,
@@ -102,3 +105,27 @@ def test_cli_compact_cache_accepts_analysis_cache_dir(tmp_path, capsys):
 def test_cli_compact_cache_requires_a_directory(capsys):
     assert main(["compact-cache"]) == 2
     assert "analysis-cache" in capsys.readouterr().err
+
+
+def test_warmth_survives_a_restart_under_another_hash_seed(tmp_path):
+    """Two processes rarely share a hash seed; the spec key must not depend on it."""
+    store_dir = str(tmp_path / "specs")
+    cache_dir = str(tmp_path / "analysis-cache")
+    assert main(["plane", "seed", "--store", store_dir]) == 0  # ground-truth spec
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.cli.__file__)))
+
+    def analyze(hash_seed):
+        out = str(tmp_path / f"report-{hash_seed}.json")
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "repro.cli", "analyze", "--store", store_dir,
+             "--solver", "compiled", "--analysis-cache", cache_dir,
+             "--count", "3", "--max-statements", "40", "--out", out],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        with open(out, encoding="utf-8") as handle:
+            return [report["timing"]["solve_outcome"] for report in json.load(handle)["reports"]]
+
+    assert "hit" not in analyze(1)
+    assert analyze(2) == ["hit"] * 3
