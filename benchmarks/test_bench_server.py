@@ -1,11 +1,10 @@
 """Benchmark: sustained throughput of the HTTP analysis daemon.
 
 Learns a small specification once, stores it, starts the daemon with warm
-workers, and fires a concurrent seeded load at ``POST /analyze`` -- the
-first sustained-throughput numbers for the serving story.  Asserts the two
-properties the daemon exists for: every response is bit-identical to
-in-process ``handle_request``, and the specification was compiled once per
-worker, never once per request.
+worker processes, and fires a concurrent seeded load at ``POST /analyze``.
+Asserts the two properties the daemon exists for: every response is
+bit-identical to in-process ``handle_request``, and the specification was
+compiled once per worker, never once per request.
 
 Set ``REPRO_BENCH_OUT=BENCH.json`` to freeze the run as a schema-versioned
 bench artifact (``repro.bench.serve/1``) -- the same record
@@ -19,7 +18,7 @@ from conftest import emit
 from repro.engine import InferenceEngine
 from repro.learn import AtlasConfig
 from repro.library.registry import build_interface, build_library_program
-from repro.server import AnalysisServer
+from repro.server import ShardedAnalysisServer
 from repro.server.bench import (
     bench_artifact,
     fetch_json,
@@ -43,9 +42,7 @@ def test_bench_server_throughput(benchmark, tmp_path_factory):
     store = SpecStore(str(tmp_path_factory.mktemp("server-bench")))
     store.put(result, library_program=library)
 
-    server = AnalysisServer(
-        store, port=0, workers=WORKERS, library_program=library, interface=interface
-    )
+    server = ShardedAnalysisServer(store, port=0, processes=WORKERS, library_program=library)
     with server:
 
         def load_run():
@@ -74,11 +71,11 @@ def test_bench_server_throughput(benchmark, tmp_path_factory):
             write_bench_artifact(out, artifact)
 
     emit(
-        "Server: sustained /analyze throughput (warm workers)",
+        "Server: sustained /analyze throughput (warm worker processes)",
         "\n".join(
             [
                 f"requests:                 {load.ok}/{TOTAL_REQUESTS} ok "
-                f"({CLIENTS} client threads, {WORKERS} warm workers)",
+                f"({CLIENTS} client threads, {WORKERS} worker processes)",
                 f"throughput:               {load.throughput_rps:.1f} req/s "
                 f"({load.ok * REQUEST.suite.count / load.elapsed_seconds:.1f} programs/s)",
                 f"latency p50/p90/p99:      {load.latency_percentile(50):.3f}s / "

@@ -1,4 +1,4 @@
-"""Serve taint analyses over HTTP from warm workers, end to end.
+"""Serve taint analyses over HTTP from warm worker processes, end to end.
 
 The full daemon path of ``repro.server``: learn points-to specifications
 *once* into a versioned ``SpecStore`` (a re-run reuses the stored result),
@@ -11,7 +11,7 @@ once, no matter how many requests it served.
 Run with::
 
     python examples/serve_http.py                         # 50 requests, 8 clients
-    python examples/serve_http.py --requests 100 --clients 16 --workers 4
+    python examples/serve_http.py --requests 100 --clients 16 --processes 4
     python examples/serve_http.py --store .repro-specs --cache-dir .repro-cache
     python examples/serve_http.py --requests 20 --budget 4000 \
         --cluster Box --cluster ArrayList,Iterator         # small smoke
@@ -26,7 +26,7 @@ from repro.cli import apply_atlas_overrides
 from repro.engine import InferenceEngine, StreamSink, program_fingerprint
 from repro.experiments.config import QUICK_CONFIG
 from repro.library.registry import build_interface, build_library_program
-from repro.server import AnalysisServer
+from repro.server import ShardedAnalysisServer
 from repro.server.bench import fetch_json, run_load, verify_against_inprocess
 from repro.service import AnalyzeRequest, SpecStore, SuiteSpec, config_digest
 
@@ -37,7 +37,7 @@ def parse_args(argv=None):
     parser.add_argument("--cache-dir", default=None, help="oracle cache for the learn step")
     parser.add_argument("--requests", type=int, default=50, help="total requests to fire")
     parser.add_argument("--clients", type=int, default=8, help="concurrent client threads")
-    parser.add_argument("--workers", type=int, default=2, help="daemon warm workers")
+    parser.add_argument("--processes", type=int, default=2, help="daemon worker processes")
     parser.add_argument("--queue-depth", type=int, default=16, help="bounded request queue")
     parser.add_argument("--count", type=int, default=5, help="programs per request's suite")
     parser.add_argument("--seed", type=int, default=2018, help="corpus generation seed")
@@ -90,18 +90,17 @@ def main(argv=None) -> int:
         suite=SuiteSpec(count=args.count, seed=args.seed, max_statements=args.max_statements),
         spec_id=spec_id,
     )
-    server = AnalysisServer(
+    server = ShardedAnalysisServer(
         store,
         port=0,  # ephemeral: the demo never collides with a real daemon
-        workers=args.workers,
+        processes=args.processes,
         queue_depth=args.queue_depth,
         library_program=library,
-        interface=interface,
     )
     with server:
         print(
             f"\ndaemon up at {server.url} "
-            f"({args.workers} warm workers, queue depth {args.queue_depth}); "
+            f"({args.processes} worker processes, queue depth {args.queue_depth}); "
             f"firing {args.requests} requests from {args.clients} client threads ..."
         )
         result = run_load(
@@ -119,10 +118,10 @@ def main(argv=None) -> int:
         # each worker compiles the store's latest at startup; if the pinned
         # spec is a different (older) one, serving it costs one more per worker
         latest = store.latest(fingerprint=program_fingerprint(library)).spec_id
-        max_expected = args.workers * (1 if spec_id == latest else 2)
+        max_expected = args.processes * (1 if spec_id == latest else 2)
         if specs["compilations"] > max_expected:
             print(
-                f"FAILED: {specs['compilations']} compilations for {args.workers} workers "
+                f"FAILED: {specs['compilations']} compilations for {args.processes} workers "
                 f"(expected at most {max_expected} — specs must compile per worker, not per request)",
                 file=sys.stderr,
             )

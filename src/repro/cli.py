@@ -5,7 +5,6 @@ Subcommands cover the serving path end to end, plus the evaluation driver::
     repro learn --store .repro-specs [--cache-dir .repro-cache --workers 4]
     repro analyze --store .repro-specs --count 20 --workers 4
     repro serve-batch --store .repro-specs --request request.json
-    repro serve --store .repro-specs --port 8080 --workers 4
     repro serve --store .repro-specs --port 8080 --processes 4
     repro bench-serve --url http://127.0.0.1:8080 --requests 50 --clients 8
     repro bench-serve --url http://127.0.0.1:8080 --mode open --rate 8 --requests 80
@@ -27,11 +26,11 @@ cache and worker knobs apply) and stores the result as the next version in a
 answer batch taint queries against stored specifications -- ``analyze``
 builds the request from flags, ``serve-batch`` reads an
 :class:`~repro.service.api.AnalyzeRequest` JSON document (``-`` for stdin).
-``serve`` runs the long-running HTTP daemon (:mod:`repro.server`): warm
-workers that compile the stored spec once at startup, a bounded queue with
-503 backpressure, and hot reload of newly stored specs; ``--processes N``
-swaps in the sharded multi-process tier (pre-forked workers behind an
-asyncio front door with admission control and request coalescing).
+``serve`` runs the long-running HTTP daemon (:mod:`repro.server`):
+``--processes N`` pre-forked workers that compile the stored spec once at
+startup, behind an asyncio front door with admission control, request
+coalescing, a bounded queue with 503 backpressure, and hot reload of newly
+stored specs.
 ``bench-serve`` load-tests a running daemon and verifies its responses
 bit-identical to in-process handling -- ``--mode open`` schedules arrivals
 at a fixed ``--rate`` with latency anchored at the intended send time, so
@@ -179,11 +178,11 @@ def cmd_serve(args) -> int:
     import signal
 
     from repro.engine.events import FanOutSink
-    from repro.server import AnalysisServer
+    from repro.server import ShardedAnalysisServer
     from repro.service.store import SpecStore
 
     # the journal joins the *server's* event fan-out, not the process-global
-    # ambient registry: handler and worker threads already tee their spans
+    # ambient registry: the worker processes already forward their spans
     # into ``pool.events``, so an ambient install would double-write them
     sinks = []
     if args.progress:
@@ -194,41 +193,23 @@ def cmd_serve(args) -> int:
 
         sinks.append(JournalSink(journal))
     events = FanOutSink(sinks) if len(sinks) > 1 else (sinks[0] if sinks else None)
-    if args.processes > 0:
-        from repro.server import ShardedAnalysisServer
-
-        server = ShardedAnalysisServer(
-            SpecStore(args.store),
-            host=args.host,
-            port=args.port,
-            processes=args.processes,
-            queue_depth=args.queue_depth,
-            poll_interval=args.poll_interval,
-            events=events,
-            admission_limit=args.admission_limit,
-            coalesce=not args.no_coalesce,
-            solver=args.solver,
-            analysis_cache_dir=args.analysis_cache,
-        )
-        tier = f"{args.processes} worker processes"
-    else:
-        server = AnalysisServer(
-            SpecStore(args.store),
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            queue_depth=args.queue_depth,
-            poll_interval=args.poll_interval,
-            events=events,
-            solver=args.solver,
-            analysis_cache_dir=args.analysis_cache,
-        )
-        tier = f"{server.pool.workers} warm worker threads"
+    server = ShardedAnalysisServer(
+        SpecStore(args.store),
+        host=args.host,
+        port=args.port,
+        processes=args.processes,
+        queue_depth=args.queue_depth,
+        poll_interval=args.poll_interval,
+        events=events,
+        admission_limit=args.admission_limit,
+        solver=args.solver,
+        analysis_cache_dir=args.analysis_cache,
+    )
     server.start()
     host, port = server.address
     sys.stderr.write(
         f"[serve] listening on http://{host}:{port} "
-        f"(spec {server.pool.current_spec_id}, {tier}, "
+        f"(spec {server.pool.current_spec_id}, {server.pool.processes} worker processes, "
         f"queue depth {server.pool.queue_capacity})\n"
     )
     if journal:
@@ -925,33 +906,23 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(func=cmd_serve_batch)
 
     daemon = commands.add_parser(
-        "serve", help="run the long-running HTTP analysis daemon (warm workers)"
+        "serve", help="run the long-running HTTP analysis daemon (warm worker processes)"
     )
     daemon.add_argument("--store", required=True, help="SpecStore directory to serve from")
     daemon.add_argument("--host", default="127.0.0.1", help="bind address")
     daemon.add_argument("--port", type=int, default=8080, help="bind port (0 = ephemeral)")
     daemon.add_argument(
-        "--workers", type=int, default=2, help="warm worker threads (one compiled analyzer each)"
-    )
-    daemon.add_argument(
         "--processes",
         type=int,
-        default=0,
-        help="serve from N pre-forked worker processes behind the asyncio "
-        "front door instead of worker threads (0 = threaded tier)",
+        default=2,
+        help="pre-forked worker processes (one compiled analyzer each)",
     )
     daemon.add_argument(
         "--admission-limit",
         type=int,
         default=None,
         help="max /analyze requests in flight before the front door sheds "
-        "with 503 (sharded tier only; default queue-depth + 2*processes)",
-    )
-    daemon.add_argument(
-        "--no-coalesce",
-        action="store_true",
-        help="disable single-flight coalescing of identical in-flight "
-        "requests (sharded tier only)",
+        "with 503 (default queue-depth + 2*processes)",
     )
     daemon.add_argument(
         "--queue-depth",
@@ -1318,7 +1289,7 @@ def _dispatch(args) -> int:
 
     ``obs`` is the journal's *reader*, so it never writes one; ``serve``
     tees its journal into the server's event fan-out inside :func:`cmd_serve`
-    instead (handler and worker threads deliver their spans there directly),
+    instead (the worker pool's collector re-emits worker spans there),
     so neither installs the process-global ambient journal here.
     """
     from repro.obs import trace as _trace

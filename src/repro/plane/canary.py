@@ -10,7 +10,7 @@ A candidate earns promotion through two independent gates:
   *improvements* (usually the very gap the repair closed) and never block.
 * **Shadow traffic** -- live ``/analyze`` requests are mirrored through the
   candidate *after* the incumbent's response has been served
-  (:meth:`repro.server.pool.WarmWorkerPool.set_shadow`), and the two flow
+  (:meth:`repro.server.procpool.ProcessWorkerPool.set_shadow`), and the two flow
   reports are diffed program by program.  Without a live daemon the same
   comparison runs over a seeded synthetic request stream
   (:func:`replay_shadow`), so a standalone ``repro plane run`` exercises
@@ -75,11 +75,12 @@ class ShadowSummary:
 
 
 class ShadowCanary:
-    """The observer a :class:`~repro.server.pool.WarmWorkerPool` mirrors to.
+    """The observer a :class:`~repro.server.procpool.ProcessWorkerPool` mirrors to.
 
-    Thread-safe: several pool workers call :meth:`sample` / :meth:`observe`
-    concurrently.  Sampling is seeded, so a given request stream shadows a
-    reproducible subset.  ``fraction=1.0`` mirrors everything.
+    Thread-safe: request threads call :meth:`sample` while the pool's
+    collector thread calls :meth:`observe` / :meth:`observe_error`.
+    Sampling is seeded, so a given request stream shadows a reproducible
+    subset.  ``fraction=1.0`` mirrors everything.
     """
 
     def __init__(

@@ -11,7 +11,7 @@ One :class:`ControlPlane` drives the whole always-on loop, cycle by cycle::
              pass -> promote   (servable; a live daemon hot-reloads it)
              fail -> roll back (the incumbent keeps serving)
 
-Attach a live :class:`~repro.server.pool.WarmWorkerPool` and the shadow gate
+Attach a live :class:`~repro.server.procpool.ProcessWorkerPool` and the shadow gate
 mirrors real ``/analyze`` traffic through the candidate (the incumbent's
 responses are served untouched); standalone, a seeded synthetic request
 stream exercises the identical comparison.  Every step lands in the journal

@@ -1,28 +1,25 @@
-"""The long-running analysis daemon: warm workers behind an HTTP front door.
+"""The long-running analysis daemon: warm worker processes behind an HTTP door.
 
-PR 2's service layer made "learn once, analyze many" scriptable, but every
-invocation was still a one-shot process that recompiled the stored
-specification on the way in.  This subsystem makes the serving side
+The service layer (:mod:`repro.service`) makes "learn once, analyze many"
+scriptable, but each invocation is a one-shot process that recompiles the
+stored specification on the way in.  This subsystem makes the serving side
 *resident*, which is what the paper's economics call for: specifications are
 learned once precisely so clients can query them cheaply and often
 (conf_pldi_Bastani0AL18).
 
-* :mod:`repro.server.pool` -- :class:`WarmWorkerPool`: worker threads that
-  compile the stored spec to a :class:`~repro.service.analyzer.ClientAnalyzer`
-  **once at startup**, a bounded request queue with backpressure
-  (:class:`PoolSaturated`), and hot reload of newly stored specs without
-  dropping in-flight requests.
-* :mod:`repro.server.procpool` -- :class:`ProcessWorkerPool`: the same
-  contract over pre-forked worker **processes** (compile once per process,
-  spec-id routing, telemetry and shadow mirroring forwarded across the fork
-  boundary), so analysis throughput scales with cores instead of one GIL.
-* :mod:`repro.server.http` -- :class:`AnalysisServer`: a stdlib
-  ``ThreadingHTTPServer`` exposing ``POST /analyze`` (the existing
+* :mod:`repro.server.procpool` -- :class:`ProcessWorkerPool`: pre-forked
+  worker processes that compile the stored spec to a
+  :class:`~repro.service.analyzer.ClientAnalyzer` **once at startup**, a
+  bounded request budget with backpressure (:class:`PoolSaturated`), hot
+  reload of newly stored specs without dropping in-flight requests,
+  spec-id routing, a re-dispatch of jobs a dead worker held
+  (:class:`WorkerLost` once none is left), and telemetry and shadow
+  mirroring forwarded across the fork boundary.
+* :mod:`repro.server.front` -- :class:`ShardedAnalysisServer`: the asyncio
+  front door exposing ``POST /analyze`` (the existing
   :class:`~repro.service.api.AnalyzeRequest` / ``FlowReport`` JSON bodies),
-  ``GET /healthz``, ``GET /specs``, and ``GET /metrics``.
-* :mod:`repro.server.front` -- :class:`ShardedAnalysisServer`: the
-  multi-process tier's asyncio front door -- same endpoints and headers,
-  plus admission control and single-flight request coalescing keyed on
+  ``GET /healthz``, ``GET /specs``, and ``GET /metrics``, plus admission
+  control and single-flight request coalescing keyed on
   :func:`~repro.service.api.canonical_request_key`.
 * :mod:`repro.server.metrics` -- :class:`ServerMetrics` + :class:`MetricsSink`:
   request counts, latency percentiles, queue depth, and per-worker spec
@@ -33,8 +30,8 @@ learned once precisely so clients can query them cheaply and often
   verified bit-identical to in-process
   :func:`~repro.service.api.handle_request`.
 
-The CLI surface is ``repro serve`` (``--processes N`` picks the sharded
-tier) and ``repro bench-serve`` (load-test one, ``--mode open`` for the
+The CLI surface is ``repro serve`` (``--processes N`` sizes the fleet) and
+``repro bench-serve`` (load-test one, ``--mode open`` for the
 scheduled-arrival harness); ``examples/serve_http.py`` walks the whole path
 in-process.
 """
@@ -49,26 +46,22 @@ from repro.server.bench import (
     run_open_load,
     verify_against_inprocess,
 )
-from repro.server.front import ShardedAnalysisServer
-from repro.server.http import (
-    AnalysisHTTPServer,
-    AnalysisServer,
+from repro.server.front import (
     DEFAULT_HOST,
     DEFAULT_POLL_INTERVAL_SECONDS,
     DEFAULT_PORT,
+    ShardedAnalysisServer,
     spec_status,
 )
 from repro.server.metrics import MetricsSink, ServerMetrics, percentile
-from repro.server.pool import (
+from repro.server.procpool import (
     DEFAULT_QUEUE_DEPTH,
     PoolSaturated,
-    WarmWorkerPool,
+    ProcessWorkerPool,
+    WorkerLost,
 )
-from repro.server.procpool import ProcessWorkerPool
 
 __all__ = [
-    "AnalysisHTTPServer",
-    "AnalysisServer",
     "DEFAULT_HOST",
     "DEFAULT_POLL_INTERVAL_SECONDS",
     "DEFAULT_PORT",
@@ -79,7 +72,7 @@ __all__ = [
     "ProcessWorkerPool",
     "ServerMetrics",
     "ShardedAnalysisServer",
-    "WarmWorkerPool",
+    "WorkerLost",
     "canonical_reports",
     "fetch_json",
     "parse_retry_after",

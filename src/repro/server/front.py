@@ -1,13 +1,34 @@
-"""The asyncio front door of the sharded, multi-process serving tier.
+"""The HTTP front door of the analysis daemon.
 
-:class:`ShardedAnalysisServer` is the multi-process counterpart of
-:class:`~repro.server.http.AnalysisServer`: the same four endpoints, the
-same status mapping, the same ``X-Repro-Trace-Id`` / ``Server-Timing``
-headers, the same hot-reload and shadow-canary semantics -- but requests are
+:class:`ShardedAnalysisServer` is what ``repro serve`` runs: requests are
 accepted by a single-threaded asyncio event loop (stdlib streams, manual
 HTTP/1.1 framing, keep-alive) and analyzed by a
 :class:`~repro.server.procpool.ProcessWorkerPool` of pre-forked worker
 processes, so throughput scales with cores instead of capping at one GIL.
+
+========  ===========  ====================================================
+method    path         body
+========  ===========  ====================================================
+``POST``  /analyze     :class:`~repro.service.api.AnalyzeRequest` JSON in,
+                       :class:`~repro.service.api.AnalyzeResponse` JSON out
+``GET``   /healthz     liveness + the spec id currently being served
+``GET``   /specs       the store listing (one record per stored version)
+``GET``   /metrics     :meth:`~repro.server.metrics.ServerMetrics.snapshot`
+                       as JSON; ``?format=prometheus`` renders the registry
+                       as Prometheus text exposition instead
+========  ===========  ====================================================
+
+Every ``/analyze`` response carries an ``X-Repro-Trace-Id`` header (the root
+span of the request's trace -- client-supplied via the same request header,
+or freshly minted) and, on success, a ``Server-Timing`` header breaking the
+request into queue wait and analysis phases.  Status mapping: ``200`` on
+success, ``400`` for malformed JSON / an unsupported ``format`` version /
+unknown app names, ``404`` for a spec id the store does not hold, ``503`` +
+``Retry-After`` when the door or the pool sheds the request or no worker
+process is left to answer it, ``500`` for unexpected analysis failures.
+Unframeable input is answered and the connection closed: ``400`` for a bad
+``Content-Length``, ``413`` for a body over :data:`MAX_BODY_BYTES`, ``414`` /
+``431`` for a request / header line over the stream's line limit.
 
 Two request-shaping layers live in the front door itself, above the pool's
 bounded queue:
@@ -55,36 +76,84 @@ from repro.engine.events import EventSink, FanOutSink
 from repro.obs import trace as _trace
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.obs.trace import SpanFinished, TraceContext
-from repro.server.http import (
-    DEFAULT_HOST,
-    DEFAULT_POLL_INTERVAL_SECONDS,
-    DEFAULT_PORT,
-    spec_status,
-)
 from repro.server.metrics import MetricsSink, ServerMetrics
-from repro.server.pool import DEFAULT_QUEUE_DEPTH, PoolSaturated
-from repro.server.procpool import ProcessWorkerPool
+from repro.server.procpool import (
+    DEFAULT_QUEUE_DEPTH,
+    PoolSaturated,
+    ProcessWorkerPool,
+    WorkerLost,
+)
 from repro.service.api import (
     AnalyzeRequest,
     UnknownAppsError,
     canonical_request_key,
 )
-from repro.service.store import SpecNotFoundError, SpecStore
+from repro.service.store import (
+    STATE_CANDIDATE,
+    SpecNotFoundError,
+    SpecStore,
+    SpecStoreError,
+)
 
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 8080
+DEFAULT_POLL_INTERVAL_SECONDS = 2.0
+#: the largest request body the door reads; request documents are ~1 KiB
+MAX_BODY_BYTES = 1 << 20
 JSON_CONTENT_TYPE = "application/json"
 
 #: (status, body bytes, extra headers, content type) -- one rendered response
 _Rendered = Tuple[int, bytes, Dict[str, str], str]
 
 
-def _render_json(status: int, payload) -> bytes:
-    """Match the threaded server byte for byte: compact 200s, readable errors."""
+def spec_status(pool, store: SpecStore) -> dict:
+    """Lifecycle view of the store as seen from what *pool* serves.
+
+    The active spec (id, version, lineage depth) and any candidates awaiting
+    a canary verdict for the same library -- shared by ``/healthz``,
+    ``/specs``, and ``/metrics``.
+    """
+    current = pool.current_spec_id
+    states = store.states()
+    candidates = [
+        record.spec_id
+        for record in store.list(fingerprint=pool.fingerprint)
+        if states.get(record.spec_id) == STATE_CANDIDATE
+    ]
+    active_version: Optional[int] = None
+    lineage_depth: Optional[int] = None
+    if current is not None:
+        try:
+            active_version = store.record(current).version
+            lineage_depth = store.lineage_depth(current)
+        except SpecStoreError:
+            pass  # the served spec predates this index (or store moved)
+    return {
+        "active_spec_id": current,
+        "active_version": active_version,
+        "lineage_depth": lineage_depth,
+        "candidate_spec_ids": candidates,
+    }
+
+
+def _json(status: int, payload, headers: Optional[Dict[str, str]] = None) -> _Rendered:
+    """A JSON response: compact 200s (machine-consumed hot path), readable errors."""
     rendered = (
         json.dumps(payload, separators=(",", ":"))
         if status == 200
         else json.dumps(payload, indent=1)
     )
-    return rendered.encode("utf-8") + b"\n"
+    return status, rendered.encode("utf-8") + b"\n", headers or {}, JSON_CONTENT_TYPE
+
+
+def _retry_later(error) -> _Rendered:
+    """503 + ``Retry-After`` for a shed or orphaned request."""
+    seconds = error.retry_after_seconds
+    return _json(
+        503,
+        {"error": str(error), "retry_after_seconds": seconds},
+        {"Retry-After": str(seconds)},
+    )
 
 
 def _server_timing(future) -> str:
@@ -125,8 +194,6 @@ class ShardedAnalysisServer:
         metrics: Optional[ServerMetrics] = None,
         library_program=None,
         admission_limit: Optional[int] = None,
-        coalesce: bool = True,
-        mp_context: Optional[str] = None,
         solver: Optional[str] = None,
         analysis_cache_dir: Optional[str] = None,
     ):
@@ -145,7 +212,6 @@ class ShardedAnalysisServer:
             queue_depth=queue_depth,
             events=self.events,
             library_program=library_program,
-            mp_context=mp_context,
             solver=solver,
             analysis_cache_dir=analysis_cache_dir,
         )
@@ -156,7 +222,6 @@ class ShardedAnalysisServer:
             if admission_limit is not None
             else queue_depth + 2 * self.pool.processes
         )
-        self.coalesce = coalesce
         self._inflight = 0
         self._leaders: Dict[str, "asyncio.Future[_Rendered]"] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -248,46 +313,18 @@ class ShardedAnalysisServer:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """One keep-alive HTTP/1.1 connection: parse, route, frame, repeat."""
+        """One keep-alive HTTP/1.1 connection: parse, route, frame, repeat.
+
+        Input that leaves the stream unframeable is answered, then the
+        connection is closed: nothing after it can be trusted as the start
+        of the next request.
+        """
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line:
+                answered = await self._serve_one(reader)
+                if answered is None:
                     break
-                parts = request_line.decode("latin-1").strip().split()
-                if len(parts) != 3:
-                    await self._write(
-                        writer,
-                        (400, _render_json(400, {"error": "malformed request line"}), {}, JSON_CONTENT_TYPE),
-                        close=True,
-                    )
-                    break
-                method, target, version = parts
-                headers: Dict[str, str] = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, sep, value = line.decode("latin-1").partition(":")
-                    if sep:
-                        headers[name.strip().lower()] = value.strip()
-                try:
-                    length = int(headers.get("content-length", "0") or "0")
-                except ValueError:
-                    # an unparseable Content-Length makes the rest of the
-                    # stream unframeable; answer and close, like the threaded tier
-                    await self._write(
-                        writer,
-                        (400, _render_json(400, {"error": "invalid Content-Length header"}), {}, JSON_CONTENT_TYPE),
-                        close=True,
-                    )
-                    break
-                body = await reader.readexactly(length) if length > 0 else b""
-                close = (
-                    headers.get("connection", "").lower() == "close"
-                    or version.upper() == "HTTP/1.0"
-                )
-                rendered = await self._route(method, target, headers, body)
+                rendered, close = answered
                 await self._write(writer, rendered, close=close)
                 if close:
                     break
@@ -299,6 +336,46 @@ class ShardedAnalysisServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
+
+    async def _serve_one(
+        self, reader: asyncio.StreamReader
+    ) -> Optional[Tuple[_Rendered, bool]]:
+        """Read and answer one request: ``(response, close)``, ``None`` at EOF."""
+        try:
+            request_line = await reader.readline()
+        except ValueError:  # over the StreamReader line limit
+            return _json(414, {"error": "request line too long"}), True
+        if not request_line:
+            return None
+        parts = request_line.decode("latin-1").strip().split()
+        if len(parts) != 3:
+            return _json(400, {"error": "malformed request line"}), True
+        method, target, version = parts
+        headers: Dict[str, str] = {}
+        while True:
+            try:
+                line = await reader.readline()
+            except ValueError:
+                return _json(431, {"error": "header line too long"}), True
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, sep, value = line.decode("latin-1").partition(":")
+            if sep:
+                headers[name.strip().lower()] = value.strip()
+        try:
+            length = int(headers.get("content-length", "0") or "0")
+        except ValueError:
+            length = -1
+        if length < 0:
+            return _json(400, {"error": "invalid Content-Length header"}), True
+        if length > MAX_BODY_BYTES:
+            return _json(413, {"error": f"request body over {MAX_BODY_BYTES} bytes"}), True
+        body = await reader.readexactly(length) if length > 0 else b""
+        close = (
+            headers.get("connection", "").lower() == "close"
+            or version.upper() == "HTTP/1.0"
+        )
+        return await self._route(method, target, headers, body), close
 
     async def _write(
         self, writer: asyncio.StreamWriter, rendered: _Rendered, close: bool
@@ -325,46 +402,35 @@ class ShardedAnalysisServer:
         parsed = urlsplit(target)
         if method == "POST":
             if parsed.path != "/analyze":
-                return 404, _render_json(404, {"error": f"no such endpoint: {target}"}), {}, JSON_CONTENT_TYPE
+                return _json(404, {"error": f"no such endpoint: {target}"})
             return await self._analyze(headers, body)
         if method == "GET":
             return self._get(parsed)
-        return (
-            405,
-            _render_json(405, {"error": f"method {method} not allowed"}),
-            {},
-            JSON_CONTENT_TYPE,
-        )
+        return _json(405, {"error": f"method {method} not allowed"})
 
     def _get(self, parsed) -> _Rendered:
         if parsed.path == "/metrics":
-            status_view = spec_status(self.pool, self.store)
-            formats = parse_qs(parsed.query).get("format", ["json"])
-            if formats[-1] == "prometheus":
-                text = self.metrics.to_prometheus(
-                    queue_depth=self.pool.queue_depth,
-                    queue_capacity=self.pool.queue_capacity,
-                    workers=self.pool.workers,
-                    active_version=status_view["active_version"],
-                )
-                return 200, text.encode("utf-8"), {}, PROMETHEUS_CONTENT_TYPE
-            snapshot = self.metrics.snapshot(
+            gauges = dict(
                 queue_depth=self.pool.queue_depth,
                 queue_capacity=self.pool.queue_capacity,
-                workers=self.pool.workers,
-                active_version=status_view["active_version"],
+                workers=self.pool.processes,
+                active_version=spec_status(self.pool, self.store)["active_version"],
             )
-            return 200, _render_json(200, snapshot), {}, JSON_CONTENT_TYPE
+            formats = parse_qs(parsed.query).get("format", ["json"])
+            if formats[-1] == "prometheus":
+                text = self.metrics.to_prometheus(**gauges)
+                return 200, text.encode("utf-8"), {}, PROMETHEUS_CONTENT_TYPE
+            return _json(200, self.metrics.snapshot(**gauges))
         if parsed.path == "/healthz":
             payload = {
                 "status": "ok",
                 "spec_id": self.pool.current_spec_id,
-                "workers": self.pool.workers,
+                "workers": self.pool.processes,
                 "processes": self.pool.processes,
                 "uptime_seconds": time.time() - self.metrics.started_at,
             }
             payload.update(spec_status(self.pool, self.store))
-            return 200, _render_json(200, payload), {}, JSON_CONTENT_TYPE
+            return _json(200, payload)
         if parsed.path == "/specs":
             states = self.store.states()
             specs = []
@@ -374,8 +440,8 @@ class ShardedAnalysisServer:
                 specs.append(entry)
             payload = {"current": self.pool.current_spec_id, "specs": specs}
             payload.update(spec_status(self.pool, self.store))
-            return 200, _render_json(200, payload), {}, JSON_CONTENT_TYPE
-        return 404, _render_json(404, {"error": f"no such endpoint: {parsed.path}"}), {}, JSON_CONTENT_TYPE
+            return _json(200, payload)
+        return _json(404, {"error": f"no such endpoint: {parsed.path}"})
 
     # ------------------------------------------------------------------ analyze
     async def _analyze(self, headers: Dict[str, str], body: bytes) -> _Rendered:
@@ -411,58 +477,42 @@ class ShardedAnalysisServer:
         try:
             data = json.loads(body.decode("utf-8")) if body else {}
         except (ValueError, UnicodeDecodeError) as error:
-            return 400, _render_json(400, {"error": f"invalid JSON body: {error}"}), {}, JSON_CONTENT_TYPE
+            return _json(400, {"error": f"invalid JSON body: {error}"})
         try:
             request = AnalyzeRequest.from_dict(data)
         except (ValueError, TypeError, AttributeError) as error:
-            return 400, _render_json(400, {"error": f"bad request: {error}"}), {}, JSON_CONTENT_TYPE
+            return _json(400, {"error": f"bad request: {error}"})
 
-        key = (
-            canonical_request_key(request, self.pool.current_spec_id)
-            if self.coalesce
-            else None
-        )
-        if key is not None:
-            leader = self._leaders.get(key)
-            if leader is not None:
-                # follower: no admission slot, no pool submit -- the leader's
-                # bytes are this request's bytes, by determinism
-                self.metrics.record_coalesced()
-                try:
-                    status, payload, extra, content_type = await asyncio.shield(leader)
-                except Exception:  # noqa: BLE001 - leader died; have them retry
-                    return (
-                        503,
-                        _render_json(503, {"error": "coalesced leader failed; retry"}),
-                        {"Retry-After": "0"},
-                        JSON_CONTENT_TYPE,
-                    )
-                extra = dict(extra)
-                extra["X-Repro-Coalesced"] = "1"
-                return status, payload, extra, content_type
+        key = canonical_request_key(request, self.pool.current_spec_id)
+        leader = self._leaders.get(key)
+        if leader is not None:
+            # follower: no admission slot, no pool submit -- the leader's
+            # bytes are this request's bytes, by determinism
+            self.metrics.record_coalesced()
+            try:
+                status, payload, extra, content_type = await asyncio.shield(leader)
+            except Exception:  # noqa: BLE001 - leader died; have them retry
+                return _json(503, {"error": "coalesced leader failed; retry"}, {"Retry-After": "0"})
+            extra = dict(extra)
+            extra["X-Repro-Coalesced"] = "1"
+            return status, payload, extra, content_type
 
         if self._inflight >= self.admission_limit:
             self.metrics.record_admission_rejected()
-            return (
+            return _json(
                 503,
-                _render_json(
-                    503,
-                    {
-                        "error": (
-                            f"admission limit reached "
-                            f"({self.admission_limit} requests in flight)"
-                        ),
-                        "retry_after_seconds": 1,
-                    },
-                ),
+                {
+                    "error": (
+                        f"admission limit reached "
+                        f"({self.admission_limit} requests in flight)"
+                    ),
+                    "retry_after_seconds": 1,
+                },
                 {"Retry-After": "1"},
-                JSON_CONTENT_TYPE,
             )
 
-        waiter: Optional["asyncio.Future[_Rendered]"] = None
-        if key is not None:
-            waiter = asyncio.get_running_loop().create_future()
-            self._leaders[key] = waiter
+        waiter: "asyncio.Future[_Rendered]" = asyncio.get_running_loop().create_future()
+        self._leaders[key] = waiter
         self._inflight += 1
         rendered: Optional[_Rendered] = None
         try:
@@ -470,58 +520,43 @@ class ShardedAnalysisServer:
             return rendered
         finally:
             self._inflight -= 1
-            if key is not None:
-                self._leaders.pop(key, None)
-                if waiter is not None and not waiter.done():
-                    # resolve even on leader cancellation so followers never
-                    # hang; they see a retryable 503 instead of an exception
-                    waiter.set_result(
-                        rendered
-                        if rendered is not None
-                        else (
-                            503,
-                            _render_json(503, {"error": "coalesced leader cancelled; retry"}),
-                            {"Retry-After": "0"},
-                            JSON_CONTENT_TYPE,
-                        )
+            self._leaders.pop(key, None)
+            if not waiter.done():
+                # resolve even on leader cancellation so followers never
+                # hang; they see a retryable 503 instead of an exception
+                waiter.set_result(
+                    rendered
+                    if rendered is not None
+                    else _json(
+                        503, {"error": "coalesced leader cancelled; retry"}, {"Retry-After": "0"}
                     )
+                )
 
     async def _serve_via_pool(self, request: AnalyzeRequest, context: TraceContext) -> _Rendered:
         try:
             future = self.pool.submit(request, context=context)
-        except PoolSaturated as error:
-            return (
-                503,
-                _render_json(
-                    503,
-                    {"error": str(error), "retry_after_seconds": error.retry_after_seconds},
-                ),
-                {"Retry-After": str(error.retry_after_seconds)},
-                JSON_CONTENT_TYPE,
-            )
+        except (PoolSaturated, WorkerLost) as error:
+            return _retry_later(error)
         except RuntimeError as error:  # pool stopping: shutdown race ends 503
-            return (
-                503,
-                _render_json(503, {"error": f"server unavailable: {error}"}),
-                {"Retry-After": "1"},
-                JSON_CONTENT_TYPE,
-            )
+            return _json(503, {"error": f"server unavailable: {error}"}, {"Retry-After": "1"})
         try:
             response = await asyncio.wrap_future(future)
         except SpecNotFoundError as error:
-            return 404, _render_json(404, {"error": f"unknown spec: {error}"}), {}, JSON_CONTENT_TYPE
+            return _json(404, {"error": f"unknown spec: {error}"})
         except UnknownAppsError as error:
-            return 400, _render_json(400, {"error": f"bad request: {error}"}), {}, JSON_CONTENT_TYPE
+            return _json(400, {"error": f"bad request: {error}"})
+        except WorkerLost as error:
+            return _retry_later(error)
         except Exception as error:  # noqa: BLE001 - the wire needs *some* answer
-            return 500, _render_json(500, {"error": f"analysis failed: {error}"}), {}, JSON_CONTENT_TYPE
-        return (
-            200,
-            _render_json(200, response.to_dict()),
-            {"Server-Timing": _server_timing(future)},
-            JSON_CONTENT_TYPE,
-        )
+            return _json(500, {"error": f"analysis failed: {error}"})
+        return _json(200, response.to_dict(), {"Server-Timing": _server_timing(future)})
 
 
 __all__ = [
+    "DEFAULT_HOST",
+    "DEFAULT_POLL_INTERVAL_SECONDS",
+    "DEFAULT_PORT",
+    "MAX_BODY_BYTES",
     "ShardedAnalysisServer",
+    "spec_status",
 ]

@@ -1,10 +1,11 @@
 """Thread-safe request metrics for the analysis daemon.
 
-One :class:`ServerMetrics` instance is shared by every handler thread and
-warm worker of an :class:`~repro.server.http.AnalysisServer`; the ``GET
-/metrics`` endpoint renders :meth:`ServerMetrics.snapshot` as JSON (the
-default) or :meth:`ServerMetrics.to_prometheus` as the Prometheus text
-exposition (``?format=prometheus``).  Two feeds fill it:
+One :class:`ServerMetrics` instance is shared by the front door and the
+pool's collector thread in a
+:class:`~repro.server.front.ShardedAnalysisServer`; the ``GET /metrics``
+endpoint renders :meth:`ServerMetrics.snapshot` as JSON (the default) or
+:meth:`ServerMetrics.to_prometheus` as the Prometheus text exposition
+(``?format=prometheus``).  Two feeds fill it:
 
 * the HTTP layer records each request's status class and wall-clock latency
   (:meth:`ServerMetrics.record_request`), and
@@ -66,9 +67,10 @@ _PERCENTILES = (50.0, 90.0, 99.0)
 class ServerMetrics:
     """Counters and latency percentiles for one daemon instance.
 
-    Every mutator takes the registry lock (or the window lock), so handler
-    threads, worker threads, and the store poller can all write
-    concurrently; :meth:`snapshot` returns a plain, JSON-serializable dict.
+    Every mutator takes the registry lock (or the window lock), so the
+    front door's loop thread, the pool's collector thread, and the store
+    poller can all write concurrently; :meth:`snapshot` returns a plain,
+    JSON-serializable dict.
     """
 
     def __init__(self, latency_window: int = DEFAULT_LATENCY_WINDOW):

@@ -1,24 +1,38 @@
 """Pre-forked analysis worker processes behind per-worker job queues.
 
-The :class:`~repro.server.pool.WarmWorkerPool` amortizes spec compilation
-across requests but keeps every analysis on a thread of one process -- the
-GIL serializes the actual constraint solving, so ``/analyze`` throughput
-caps at roughly one core however many workers the pool has.
-:class:`ProcessWorkerPool` keeps the pool's entire contract (bounded
-admission -> :class:`~repro.server.pool.PoolSaturated`, lazy hot reload via
-store-index polling, shadow canaries, per-worker ``SpecCompiled`` telemetry,
-bit-identical answers through :func:`repro.service.api.run_request`) but
-runs each worker as a **process**: compilation happens once per process at
-startup, requests are dispatched over a per-worker job queue, and results
-come back over one shared result queue.
+:class:`ProcessWorkerPool` is the serving side of "learn once, query many":
+each worker process compiles the stored spec to a
+:class:`~repro.service.analyzer.ClientAnalyzer` **once at startup**
+(emitting :class:`~repro.engine.events.SpecCompiled`), then answers any
+number of requests through :func:`repro.service.api.run_request` -- the same
+cheap half :func:`~repro.service.api.handle_request` uses, so a daemon
+response equals a one-shot response for the same request document.
+Requests are dispatched over a per-worker job queue and results come back
+over one shared result queue; analysis throughput scales with cores instead
+of one GIL.
 
 Design points worth knowing before reading the code:
 
+* **Backpressure.**  ``queue_depth`` bounds the outstanding requests across
+  the fleet; :meth:`ProcessWorkerPool.submit` raises :class:`PoolSaturated`
+  instead of queueing unboundedly, which the front door turns into ``503`` +
+  ``Retry-After``.
+* **Hot reload.**  :meth:`ProcessWorkerPool.poll_once` re-reads the store's
+  append-only index; a newer latest spec moves the dispatch target, workers
+  compile it lazily on their next job, and in-flight requests finish on the
+  spec they were dispatched under.
 * **Spec-id routing.**  Requests pinned to an explicit spec id are sharded
   onto a stable worker (hash of the id), so a pinned minority reuses one
   process's compiled-analyzer cache instead of forcing every process to
   compile every historical version.  Unpinned requests go to the worker with
   the fewest outstanding jobs.
+* **Dead workers.**  A monitor thread watches every worker's
+  ``Process.sentinel``.  A worker that exits unasked leaves routing, each
+  job it held is re-dispatched once to a live sibling under a fresh job id
+  (so a late result from the dead worker resolves nothing), and a job with
+  no live worker left -- or whose retry dies too -- fails with
+  :class:`WorkerLost`, which the front door turns into ``503`` +
+  ``Retry-After``.
 * **Telemetry crosses the fork as data.**  Engine events (frozen picklable
   dataclasses, spans included) are forwarded from each worker over the
   result queue and re-emitted into the pool's sink by the parent's collector
@@ -28,12 +42,13 @@ Design points worth knowing before reading the code:
   (:func:`repro.obs.trace.reset_ambient_sinks`), so nothing is delivered
   twice.
 * **Shadow mirroring stays parent-sampled.**  The parent decides at dispatch
-  whether a request is mirrored (the observer's ``sample()`` runs exactly
-  once per request, in one process); the worker analyzes the mirror *after*
-  shipping the served result, and the parent rehydrates both responses
-  (:meth:`repro.service.api.AnalyzeResponse.from_dict`) to drive the
-  observer's ``observe``/``observe_error`` -- so the canary's events and
-  metrics are emitted in the parent, exactly as with the threaded pool.
+  whether a request is mirrored through a candidate spec (the observer's
+  ``sample()`` runs exactly once per request, in one process); the worker
+  analyzes the mirror *after* shipping the served result, and the parent
+  rehydrates both responses (:meth:`repro.service.api.AnalyzeResponse.from_dict`)
+  to drive the observer's ``observe``/``observe_error`` -- so the canary's
+  events and metrics are emitted in the parent, and a shadow failure never
+  reaches the client.
 * **Trace contexts are explicit.**  ``submit(request, context=...)`` ships a
   :class:`~repro.obs.trace.TraceContext` dict to the worker, which adopts it
   around the analysis, so worker-process spans join the HTTP request's
@@ -60,19 +75,14 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from multiprocessing.connection import wait as wait_for_ready
+from typing import Dict, List, Optional, Tuple
 
 from repro.engine.cache import program_fingerprint
 from repro.engine.events import EventSink, NullSink, SpecCompiled, SpecReloaded
 from repro.library.registry import build_library_program, build_spec_interface
 from repro.obs import trace as _trace
 from repro.obs.trace import SpanFinished, TraceContext
-from repro.server.pool import (
-    DEFAULT_QUEUE_DEPTH,
-    MAX_CACHED_ANALYZERS,
-    PoolSaturated,
-    poll_backoff_delay,
-)
 from repro.service.analyzer import ClientAnalyzer
 from repro.service.api import (
     AnalyzeRequest,
@@ -82,10 +92,59 @@ from repro.service.api import (
 )
 from repro.service.store import SpecNotFoundError, SpecStore
 
+DEFAULT_QUEUE_DEPTH = 16
+DEFAULT_RETRY_AFTER_SECONDS = 1
+#: per-worker compiled-analyzer cache bound (current spec + reload/pin history)
+MAX_CACHED_ANALYZERS = 4
 #: how long stop() waits for a worker to exit cleanly before terminating it
 STOP_GRACE_SECONDS = 30.0
 #: how long start() waits for every worker to finish its startup compilation
 STARTUP_TIMEOUT_SECONDS = 600.0
+#: ceiling on the store-poll backoff when the store is unreadable
+POLL_BACKOFF_CAP_SECONDS = 30.0
+#: proportional jitter added to backed-off delays (desynchronizes daemons
+#: sharing one store so they do not retry a broken filesystem in lockstep)
+POLL_BACKOFF_JITTER = 0.25
+
+
+def poll_backoff_delay(interval_seconds: float, failures: int, rng: random.Random) -> float:
+    """The delay before the next store poll after *failures* consecutive errors.
+
+    A healthy store (``failures == 0``) polls at exactly *interval_seconds*
+    -- hot-reload promptness is unchanged.  Each consecutive failure doubles
+    the delay up to :data:`POLL_BACKOFF_CAP_SECONDS` and adds up to
+    :data:`POLL_BACKOFF_JITTER` proportional jitter, so an unreadable store
+    (unmounted NFS, wrecked permissions) is probed gently instead of
+    hot-looped at the fixed interval.
+    """
+    if failures <= 0:
+        return interval_seconds
+    cap = max(interval_seconds, POLL_BACKOFF_CAP_SECONDS)
+    delay = min(interval_seconds * (2.0 ** failures), cap)
+    return delay * (1.0 + POLL_BACKOFF_JITTER * rng.random())
+
+
+class PoolSaturated(RuntimeError):
+    """The bounded request queue is full; shed this request.
+
+    ``retry_after_seconds`` is a hint for the HTTP ``Retry-After`` header.
+    """
+
+    def __init__(self, depth: int, retry_after_seconds: int = DEFAULT_RETRY_AFTER_SECONDS):
+        super().__init__(f"request queue full ({depth} requests pending)")
+        self.depth = depth
+        self.retry_after_seconds = retry_after_seconds
+
+
+class WorkerLost(RuntimeError):
+    """No live worker could answer this job; the client should retry later.
+
+    Raised by :meth:`ProcessWorkerPool.submit` once every worker has died,
+    and set on a job's future when its worker died and no retry could
+    finish it.  ``retry_after_seconds`` is a hint for ``Retry-After``.
+    """
+
+    retry_after_seconds = DEFAULT_RETRY_AFTER_SECONDS
 
 
 class _QueueSink(EventSink):
@@ -103,7 +162,13 @@ class _QueueSink(EventSink):
 
 
 def _evict_stale(analyzers: Dict[str, ClientAnalyzer], protected: set) -> None:
-    """Bound a worker's analyzer cache, mirroring the threaded pool's policy."""
+    """Bound a worker's analyzer cache (hot reloads and pinned ids add up).
+
+    Drops the oldest analyzers outside *protected* (the dispatch target, the
+    spec just used, the shadow candidate) past :data:`MAX_CACHED_ANALYZERS`
+    -- a long-lived daemon's memory must not grow with the number of
+    deploys or with clients pinning historical spec ids.
+    """
     while len(analyzers) > MAX_CACHED_ANALYZERS:
         for spec_id in analyzers:
             if spec_id not in protected:
@@ -257,8 +322,14 @@ class _Pending:
 
     request: AnalyzeRequest
     future: Future
-    worker: str
+    #: the request's wire form, kept so a dead worker's job can be re-sent
+    document: dict
+    #: the spec id unpinned requests were dispatched under
+    target_spec_id: Optional[str] = None
+    context: Optional[dict] = None
     shadow_spec_id: Optional[str] = None
+    worker: str = ""
+    retried: bool = False
     served: Optional[AnalyzeResponse] = None  # kept only until the shadow lands
 
 
@@ -271,12 +342,8 @@ _ERROR_TYPES = {
 class ProcessWorkerPool:
     """A fixed fleet of pre-forked worker processes serving one spec store.
 
-    API-compatible with :class:`~repro.server.pool.WarmWorkerPool` where the
-    HTTP layers care (``submit``/``start``/``stop``, queue and spec
-    properties, shadow hooks, store polling), so the front door treats the
-    two interchangeably.  ``queue_depth`` bounds the *total* outstanding
-    requests across the fleet -- the admission contract a 503 +
-    ``Retry-After`` is derived from.
+    ``queue_depth`` bounds the *total* outstanding requests across the
+    fleet -- the admission contract a 503 + ``Retry-After`` is derived from.
     """
 
     def __init__(
@@ -286,7 +353,6 @@ class ProcessWorkerPool:
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         events: Optional[EventSink] = None,
         library_program=None,
-        mp_context: Optional[str] = None,
         solver: Optional[str] = None,
         analysis_cache_dir: Optional[str] = None,
     ):
@@ -302,18 +368,19 @@ class ProcessWorkerPool:
             library_program if library_program is not None else build_library_program()
         )
         self._fingerprint = program_fingerprint(self.library_program)
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else methods[0]
-        self._ctx = multiprocessing.get_context(mp_context)
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
         self._job_queues: List = []
         self._results = None
         self._processes: List = []
         self._collector: Optional[threading.Thread] = None
+        self._monitor: Optional[threading.Thread] = None
+        self._monitor_wakeup = None
         self._lock = threading.Lock()
         self._started = False
         self._job_counter = 0
         self._pending: Dict[int, _Pending] = {}
+        #: outstanding jobs per *live* worker; a dead worker leaves routing
         self._outstanding: Dict[str, int] = {}
         self._target_spec_id: Optional[str] = None
         self._startup_errors: List[str] = []
@@ -366,6 +433,12 @@ class ProcessWorkerPool:
             )
             self._processes.append(process)
             process.start()
+        # opened after the forks, so no worker inherits the wake-up pipe
+        wakeup, self._monitor_wakeup = multiprocessing.Pipe(duplex=False)
+        self._monitor = threading.Thread(
+            target=self._monitor_loop, args=(wakeup,), name="repro-serve-monitor", daemon=True
+        )
+        self._monitor.start()
         self._collector = threading.Thread(
             target=self._collector_loop, name="repro-serve-collector", daemon=True
         )
@@ -386,6 +459,12 @@ class ProcessWorkerPool:
         self.stop_polling()
         with self._lock:
             self._started = False
+        # the monitor goes first: a worker retiring on its sentinel is not lost
+        if self._monitor is not None:
+            self._monitor_wakeup.send_bytes(b"stop")
+            self._monitor.join()
+            self._monitor_wakeup.close()
+            self._monitor = self._monitor_wakeup = None
         for jobs in self._job_queues:
             try:
                 jobs.put(None)
@@ -429,56 +508,128 @@ class ProcessWorkerPool:
     ) -> "Future[AnalyzeResponse]":
         """Dispatch one request to a worker process; never blocks.
 
-        Raises :class:`~repro.server.pool.PoolSaturated` once
-        ``queue_depth`` requests are outstanding across the fleet.
-        *context* carries the caller's trace explicitly (required from
-        asyncio, where thread-local ambience is meaningless); threaded
+        Raises :class:`PoolSaturated` once ``queue_depth`` requests are
+        outstanding across the fleet, and :class:`WorkerLost` once no worker
+        is alive.  *context* carries the caller's trace explicitly (required
+        from asyncio, where thread-local ambience is meaningless); threaded
         callers may omit it and inherit :func:`repro.obs.trace.current_context`.
         """
         if context is None:
             context = _trace.current_context()
         shadow = self.shadow
-        future: "Future[AnalyzeResponse]" = Future()
+        job = _Pending(
+            request=request,
+            future=Future(),
+            document=request.to_dict(),
+            context=context.to_dict() if context is not None else None,
+        )
         with self._lock:
             if not self._started:
                 raise RuntimeError("pool is not running (call start() first)")
             if len(self._pending) >= self.queue_capacity:
                 raise PoolSaturated(self.queue_capacity)
-            target = self._target_spec_id
-            shadow_spec_id = None
+            if not self._outstanding:
+                raise WorkerLost("no live worker process")
+            job.target_spec_id = self._target_spec_id
             if shadow is not None and request.spec_id is None:
                 try:
                     if shadow.sample():
-                        shadow_spec_id = shadow.spec_id
+                        job.shadow_spec_id = shadow.spec_id
                 except Exception:  # noqa: BLE001 - a broken sampler mirrors nothing
-                    shadow_spec_id = None
-            worker = self._route(request)
-            self._job_counter += 1
-            job_id = self._job_counter
-            self._pending[job_id] = _Pending(
-                request=request, future=future, worker=worker, shadow_spec_id=shadow_spec_id
-            )
-            self._outstanding[worker] += 1
-            index = int(worker.rsplit("-", 1)[1])
-        self._job_queues[index].put(
-            (
-                job_id,
-                request.to_dict(),
-                target,
-                context.to_dict() if context is not None else None,
-                shadow_spec_id,
-                time.perf_counter(),
-            )
+                    job.shadow_spec_id = None
+            index, message = self._assign(job)
+        self._job_queues[index].put(message)
+        return job.future
+
+    def _assign(self, job: _Pending) -> Tuple[int, tuple]:
+        """Route *job* under a fresh job id; returns (queue index, message).
+
+        Called with the lock held.
+        """
+        worker = self._route(job.request)
+        self._job_counter += 1
+        job_id = self._job_counter
+        job.worker = worker
+        self._pending[job_id] = job
+        self._outstanding[worker] += 1
+        message = (
+            job_id,
+            job.document,
+            job.target_spec_id,
+            job.context,
+            job.shadow_spec_id,
+            time.perf_counter(),
         )
-        return future
+        return int(worker.rsplit("-", 1)[1]), message
 
     def _route(self, request: AnalyzeRequest) -> str:
-        """Pick a worker: stable shard for pinned ids, least-loaded otherwise."""
+        """Pick a live worker: stable shard for pinned ids, least-loaded otherwise."""
         names = sorted(self._outstanding)
         if request.spec_id is not None:
             digest = hashlib.sha256(request.spec_id.encode("utf-8")).hexdigest()
             return names[int(digest, 16) % len(names)]
         return min(names, key=lambda name: (self._outstanding[name], name))
+
+    def _retire(self, job_id: int) -> Optional[_Pending]:
+        """Drop a finished job and free its worker's slot (lock held)."""
+        job = self._pending.pop(job_id, None)
+        if job is not None and job.worker in self._outstanding:
+            self._outstanding[job.worker] -= 1
+        return job
+
+    # ------------------------------------------------------------------ monitor
+    def _monitor_loop(self, wakeup) -> None:
+        """Block on the workers' sentinels; hand each unasked exit to
+        :meth:`_on_worker_exit`.  ``stop()`` wakes it through *wakeup*."""
+        sentinels = {
+            process.sentinel: f"proc-{index}" for index, process in enumerate(self._processes)
+        }
+        try:
+            while True:
+                ready = wait_for_ready([wakeup, *sentinels])
+                if wakeup in ready:
+                    return
+                for sentinel in ready:
+                    self._on_worker_exit(sentinels.pop(sentinel))
+        finally:
+            wakeup.close()
+
+    def _on_worker_exit(self, name: str) -> None:
+        """Take a dead worker out of routing and settle every job it held."""
+        index = int(name.rsplit("-", 1)[1])
+        process = self._processes[index]
+        process.join(1.0)  # reap it, so the exit code is known
+        reason = f"worker {name} exited (code {process.exitcode})"
+        retries, failed, lost_shadows = [], [], []
+        with self._lock:
+            self._outstanding.pop(name, None)
+            orphans = [job_id for job_id, job in self._pending.items() if job.worker == name]
+            for job_id in orphans:
+                job = self._pending.pop(job_id)
+                if job.served is not None:
+                    lost_shadows.append(job)  # the client already has its answer
+                elif job.retried or not self._outstanding:
+                    failed.append(job)
+                else:
+                    job.retried = True
+                    retries.append(self._assign(job))
+        # nothing reads this queue any more; never block exit on its feeder
+        self._job_queues[index].cancel_join_thread()
+        ready = self._ready_events[name]
+        if not ready.is_set():
+            self._startup_errors.append(reason)
+            ready.set()
+        for queue_index, message in retries:
+            self._job_queues[queue_index].put(message)
+        for job in failed:
+            job.future.set_exception(WorkerLost(reason))
+        shadow = self.shadow
+        for job in lost_shadows:
+            try:
+                if shadow is not None:
+                    shadow.observe_error(job.request, WorkerLost(reason))
+            except Exception:  # noqa: BLE001 - observer bugs stay out of serving
+                pass
 
     # ---------------------------------------------------------------- collector
     def _collector_loop(self) -> None:
@@ -515,44 +666,35 @@ class ProcessWorkerPool:
             elif kind == "event":
                 self.events.emit(message[2])
             elif kind == "result":
-                self._on_result(*message[1:])
+                self._on_result(*message[2:])
             elif kind == "shadow":
-                self._on_shadow(*message[1:])
+                self._on_shadow(*message[2:])
         except Exception:  # noqa: BLE001 - the collector must outlive bad messages
             pass
 
-    def _on_result(self, worker: str, job_id: int, status: str, payload, timing) -> None:
+    def _on_result(self, job_id: int, status: str, payload, timing) -> None:
+        response = AnalyzeResponse.from_dict(payload) if status == "ok" else None
         with self._lock:
             job = self._pending.get(job_id)
-        if job is None:
-            return
-        if status == "ok":
-            response = AnalyzeResponse.from_dict(payload)
-            if timing:
-                # timing attributes ride the future (no __slots__), so HTTP
-                # layers render Server-Timing without changing the contract
-                for key, value in timing.items():
-                    setattr(job.future, key, value)
-            expects_shadow = job.shadow_spec_id is not None
-            with self._lock:
-                if expects_shadow:
-                    job.served = response  # keep pending until the shadow lands
-                else:
-                    self._pending.pop(job_id, None)
-                    self._outstanding[worker] -= 1
-            job.future.set_result(response)
-        else:
-            with self._lock:
-                self._pending.pop(job_id, None)
-                self._outstanding[worker] -= 1
+            if job is None:
+                return  # settled already (its worker died and it was retried)
+            if response is not None and job.shadow_spec_id is not None:
+                job.served = response  # keep pending until the shadow lands
+            else:
+                self._retire(job_id)
+        if response is None:
             error_type = _ERROR_TYPES.get(status, RuntimeError)
             job.future.set_exception(error_type(payload))
+            return
+        # timing attributes ride the future (no __slots__), so the front door
+        # renders Server-Timing without changing the submit()/result() contract
+        for key, value in (timing or {}).items():
+            setattr(job.future, key, value)
+        job.future.set_result(response)
 
-    def _on_shadow(self, worker: str, job_id: int, status: str, payload, _timing) -> None:
+    def _on_shadow(self, job_id: int, status: str, payload, _timing) -> None:
         with self._lock:
-            job = self._pending.pop(job_id, None)
-            if job is not None:
-                self._outstanding[worker] -= 1
+            job = self._retire(job_id)
         if job is None:
             return
         shadow = self.shadow
@@ -578,11 +720,6 @@ class ProcessWorkerPool:
             return len(self._pending)
 
     @property
-    def workers(self) -> int:
-        """Worker count under the pool-API name the HTTP layers expect."""
-        return self.processes
-
-    @property
     def current_spec_id(self) -> Optional[str]:
         with self._lock:
             return self._target_spec_id
@@ -593,7 +730,16 @@ class ProcessWorkerPool:
 
     # ------------------------------------------------------------ shadow canary
     def set_shadow(self, shadow) -> None:
-        """Install a shadow observer (``spec_id`` + ``sample``/``observe``)."""
+        """Install a shadow observer (see :class:`repro.plane.canary.ShadowCanary`).
+
+        The observer needs a ``spec_id`` attribute (the candidate to mirror
+        through), ``sample() -> bool`` (the per-request sampling decision),
+        and ``observe(request, served, shadowed)`` /
+        ``observe_error(request, error)`` callbacks.  Only one shadow runs at
+        a time -- installing a new one replaces the old.  Requests pinned to
+        an explicit spec id are never mirrored: they are not incumbent
+        traffic, so a diff would compare the wrong baseline.
+        """
         with self._lock:
             self._shadow = shadow
 
@@ -627,7 +773,13 @@ class ProcessWorkerPool:
         return True
 
     def start_polling(self, interval_seconds: float) -> None:
-        """Background store polling with the threaded pool's backoff policy."""
+        """Poll the store for new specs every *interval_seconds* in a thread.
+
+        A poll that raises (transient store read error) must not kill the
+        poller -- and hot reload -- for good; instead consecutive failures
+        back off exponentially with jitter (:func:`poll_backoff_delay`) and
+        the first successful poll snaps back to the fixed interval.
+        """
         if self._poller is not None or interval_seconds <= 0:
             return
         self._stop_polling_event.clear()
@@ -649,6 +801,7 @@ class ProcessWorkerPool:
 
     @property
     def poll_failures(self) -> int:
+        """Consecutive failed store polls (0 while the store is healthy)."""
         return self._poll_failures
 
     def stop_polling(self) -> None:
@@ -660,7 +813,14 @@ class ProcessWorkerPool:
 
 
 __all__ = [
+    "DEFAULT_QUEUE_DEPTH",
+    "MAX_CACHED_ANALYZERS",
+    "POLL_BACKOFF_CAP_SECONDS",
+    "POLL_BACKOFF_JITTER",
+    "PoolSaturated",
     "ProcessWorkerPool",
     "STARTUP_TIMEOUT_SECONDS",
     "STOP_GRACE_SECONDS",
+    "WorkerLost",
+    "poll_backoff_delay",
 ]

@@ -86,22 +86,6 @@ class RequestTiming:
     solve_seconds: Optional[float] = None
     solve_outcome: Optional[str] = None
 
-    def server_timing(self, **extra_seconds: float) -> str:
-        """The breakdown as a ``Server-Timing`` header value (durations in ms).
-
-        Extra phases measured outside the analyzer (queue wait, say) are
-        appended by keyword: ``timing.server_timing(queue=0.004)``.
-        """
-        phases = [
-            ("andersen", self.andersen_seconds),
-            ("taint", self.taint_seconds),
-        ]
-        if self.solve_outcome is not None and self.solve_seconds is not None:
-            phases.append(("solve", self.solve_seconds))
-        phases.extend(sorted(extra_seconds.items()))
-        phases.append(("total", self.total_seconds))
-        return ", ".join(f"{name};dur={seconds * 1000.0:.3f}" for name, seconds in phases)
-
 
 @dataclass(frozen=True)
 class FlowReport:

@@ -14,6 +14,7 @@ Only test infrastructure may import this module; runtime code must not
 from __future__ import annotations
 
 import os
+import signal
 import time
 
 import pytest
@@ -117,6 +118,35 @@ def wait_until():
     return _wait
 
 
+def freeze_workers(pool) -> list:
+    """SIGSTOP every worker process of a started ``ProcessWorkerPool``.
+
+    Jobs sent to a frozen worker wait until ``SIGCONT`` (or its death), which
+    holds requests in flight deterministically.  The freeze lands only while
+    no worker holds the shared result queue's write lock: a worker's feeder
+    thread keeps it a moment after the parent read its last message, and a
+    worker stopped (or killed) there would wedge all its siblings.  Returns
+    the worker processes.
+    """
+    processes = list(pool._processes)
+    lock = pool._results._wlock
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        for process in processes:
+            os.kill(process.pid, signal.SIGSTOP)
+        if lock.acquire(timeout=0.05):
+            lock.release()
+            return processes
+        thaw_workers(processes)
+    raise RuntimeError("a worker kept the result queue's write lock for 30 s")
+
+
+def thaw_workers(processes) -> None:
+    """Resume processes frozen by :func:`freeze_workers`."""
+    for process in processes:
+        os.kill(process.pid, signal.SIGCONT)
+
+
 @pytest.fixture
 def tiny_store(tmp_path, tiny_atlas_result, library_program):
     """A fresh SpecStore holding one stored copy of the tiny result."""
@@ -169,6 +199,7 @@ __all__ = [
     "core",
     "emit",
     "framework_program",
+    "freeze_workers",
     "ground_truth_analyzer",
     "handwritten_analyzer",
     "implementation_analyzer",
@@ -176,6 +207,7 @@ __all__ = [
     "library_program",
     "null_oracle",
     "oracle",
+    "thaw_workers",
     "tiny_atlas_result",
     "tiny_store",
     "wait_until",

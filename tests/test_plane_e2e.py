@@ -36,7 +36,7 @@ from repro.engine.events import (
 from repro.obs import JournalSink
 from repro.plane import ControlPlane, PlaneConfig, seed_store
 from repro.plane.control import PROMOTED, ROLLED_BACK
-from repro.server.pool import WarmWorkerPool
+from repro.server.procpool import ProcessWorkerPool
 from repro.service.analyzer import ClientAnalyzer
 from repro.service.api import AnalyzeRequest, SuiteSpec, run_request
 from repro.service.store import STATE_CANDIDATE, SpecStore
@@ -115,13 +115,12 @@ def converged(tmp_path_factory, request):
     sink = CollectingSink()
     events = FanOutSink([sink, JournalSink(journal_path)])
 
-    pool = WarmWorkerPool(
+    pool = ProcessWorkerPool(
         store,
-        workers=2,
+        processes=2,
         queue_depth=64,
         events=events,
         library_program=library_program,
-        interface=interface,
     )
     plane = ControlPlane(
         store,

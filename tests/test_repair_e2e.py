@@ -4,8 +4,8 @@ The acceptance scenario of the repair subsystem, run for real: the classic
 ``taint-app`` family fuzzed at seed 3 against the legacy specification set
 (whose ``toArray`` idiom escapes it by design) yields divergences; repair
 publishes a new SpecStore version; re-fuzzing the exact same seeds against
-the repaired version yields **zero** divergences; and a running warm-worker
-server hot-reloads the repaired version under in-flight load.
+the repaired version yields **zero** divergences; and a running worker
+pool hot-reloads the repaired version under in-flight load.
 """
 
 import pytest
@@ -13,7 +13,7 @@ import pytest
 from repro.diff.runner import FuzzConfig, run_fuzz
 from repro.engine.events import CollectingSink, SpecCompiled, SpecReloaded
 from repro.repair import RepairEngine
-from repro.server.pool import WarmWorkerPool
+from repro.server.procpool import ProcessWorkerPool
 from repro.service.api import AnalyzeRequest, SuiteSpec
 from repro.service.store import SpecStore
 
@@ -78,8 +78,8 @@ def test_server_hot_reloads_the_repaired_spec_under_load(
 
     sink = CollectingSink()
     request = AnalyzeRequest(suite=SuiteSpec(count=1, max_statements=30), include_timing=False)
-    pool = WarmWorkerPool(
-        serving_store, workers=2, queue_depth=64, events=sink, library_program=library_program
+    pool = ProcessWorkerPool(
+        serving_store, processes=2, queue_depth=64, events=sink, library_program=library_program
     )
     with pool:
         first_wave = [pool.submit(request) for _ in range(6)]

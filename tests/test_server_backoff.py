@@ -13,10 +13,10 @@ import random
 import pytest
 
 from repro.plane.canary import ShadowCanary
-from repro.server.pool import (
+from repro.server.procpool import (
     POLL_BACKOFF_CAP_SECONDS,
     POLL_BACKOFF_JITTER,
-    WarmWorkerPool,
+    ProcessWorkerPool,
     poll_backoff_delay,
 )
 from repro.service.api import AnalyzeRequest, SuiteSpec
@@ -53,11 +53,9 @@ def test_backoff_is_deterministic_given_the_rng():
 
 
 def test_poller_survives_an_unreadable_store_and_recovers(
-    tiny_store, tiny_atlas_result, library_program, interface, wait_until
+    tiny_store, tiny_atlas_result, library_program, wait_until
 ):
-    pool = WarmWorkerPool(
-        tiny_store, workers=1, library_program=library_program, interface=interface
-    )
+    pool = ProcessWorkerPool(tiny_store, processes=1, library_program=library_program)
     original = pool.poll_once
     boom = {"on": True}
 
@@ -81,12 +79,10 @@ def test_poller_survives_an_unreadable_store_and_recovers(
 
 # --------------------------------------------------------------- shadow hook
 def test_shadow_mirrors_sampled_requests_without_touching_served_responses(
-    tiny_store, library_program, interface, wait_until
+    tiny_store, library_program, wait_until
 ):
     spec_id = tiny_store.latest().spec_id
-    pool = WarmWorkerPool(
-        tiny_store, workers=2, library_program=library_program, interface=interface
-    )
+    pool = ProcessWorkerPool(tiny_store, processes=2, library_program=library_program)
     with pool:
         baseline = pool.submit(_request()).result(timeout=30)
 
@@ -110,11 +106,9 @@ def test_shadow_mirrors_sampled_requests_without_touching_served_responses(
     assert summary.mismatches == 0 and summary.errors == 0
 
 
-def test_pinned_requests_are_never_mirrored(tiny_store, library_program, interface):
+def test_pinned_requests_are_never_mirrored(tiny_store, library_program):
     spec_id = tiny_store.latest().spec_id
-    pool = WarmWorkerPool(
-        tiny_store, workers=1, library_program=library_program, interface=interface
-    )
+    pool = ProcessWorkerPool(tiny_store, processes=1, library_program=library_program)
     with pool:
         shadow = ShadowCanary(spec_id, fraction=1.0, seed=1)
         pool.set_shadow(shadow)
@@ -124,12 +118,8 @@ def test_pinned_requests_are_never_mirrored(tiny_store, library_program, interfa
     assert summary.requests == 0 and summary.compared == 0
 
 
-def test_shadow_crash_never_breaks_the_served_request(
-    tiny_store, library_program, interface
-):
-    pool = WarmWorkerPool(
-        tiny_store, workers=1, library_program=library_program, interface=interface
-    )
+def test_shadow_crash_never_breaks_the_served_request(tiny_store, library_program, wait_until):
+    pool = ProcessWorkerPool(tiny_store, processes=1, library_program=library_program)
 
     class ExplodingShadow:
         spec_id = "no-such-spec"
@@ -150,6 +140,8 @@ def test_shadow_crash_never_breaks_the_served_request(
     with pool:
         pool.set_shadow(shadow)
         response = pool.submit(_request()).result(timeout=30)
+        # the mirror runs only after the served result shipped
+        assert wait_until(lambda: shadow.errors, timeout=30)
         pool.clear_shadow()
     assert response.result is not None  # served fine despite the shadow crash
     assert len(shadow.errors) == 1

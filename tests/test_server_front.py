@@ -1,14 +1,17 @@
 """End-to-end tests of the asyncio front door over the process pool.
 
-The contract under test: same endpoints, headers, and status mapping as the
-threaded :class:`~repro.server.http.AnalysisServer`; responses canonically
-identical to in-process ``handle_request``; coalesced followers receive the
-leader's bytes **verbatim**; admission control sheds with 503 +
-``Retry-After`` before the pool is touched.
+The contract under test: responses canonically identical to in-process
+``handle_request``; coalesced followers receive the leader's bytes
+**verbatim**; admission control sheds with 503 + ``Retry-After`` before the
+pool is touched; unframeable input gets a typed 4xx and a closed
+connection; a worker killed mid-request costs a retry, not the request.
 """
 
 import http.client
 import json
+import os
+import signal
+import socket
 import threading
 
 import pytest
@@ -22,6 +25,7 @@ from repro.service.api import (
     corpus_digest,
     handle_request,
 )
+from repro.testing import freeze_workers, thaw_workers
 
 
 def _request(**overrides):
@@ -177,7 +181,6 @@ def test_admission_control_sheds_at_the_door(tiny_store, library_program):
         processes=1,
         library_program=library_program,
         admission_limit=0,  # every analyze request is shed before the pool
-        coalesce=False,
     )
     with server:
         status, body, retry_after = post_analyze(
@@ -212,6 +215,107 @@ def test_hot_reload_through_the_front_door(
         )
         assert status == 200
         assert body["spec_id"] == record.spec_id
+
+
+def _raw_exchange(address, data: bytes) -> int:
+    """Send raw bytes on a fresh connection; the status of the one reply."""
+    with socket.create_connection(address, timeout=30) as sock:
+        sock.sendall(data)
+        reply = b""
+        while b"\r\n" not in reply:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            reply += chunk
+    return int(reply.split(b" ", 2)[1])
+
+
+_LONG = b"a" * (70 * 1024)  # past the 64 KiB StreamReader line limit
+
+
+@pytest.mark.parametrize(
+    "data, status",
+    [
+        (b"GET /" + _LONG + b" HTTP/1.1\r\n\r\n", 414),
+        (b"GET /healthz HTTP/1.1\r\nX-Padding: " + _LONG + b"\r\n\r\n", 431),
+        (b"POST /analyze HTTP/1.1\r\nContent-Length: -5\r\n\r\n{}", 400),
+        (b"POST /analyze HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n", 413),
+    ],
+    ids=["long-request-line", "long-header-line", "negative-length", "huge-length"],
+)
+def test_unframeable_input_gets_a_typed_4xx_and_a_closed_connection(front, data, status):
+    assert _raw_exchange(front.address, data) == status
+    health = fetch_json(front.url, "/healthz")  # a fresh connection is served
+    assert health["status"] == "ok"
+
+
+def _post_in_background(address, payload):
+    outcome = []
+    thread = threading.Thread(
+        target=lambda: outcome.append(_post_raw(address, payload)), daemon=True
+    )
+    thread.start()
+    return thread, outcome
+
+
+def _holder(server):
+    (job,) = server.pool._pending.values()
+    return int(job.worker.rsplit("-", 1)[1])
+
+
+def test_worker_killed_mid_request_costs_a_retry_not_the_request(
+    tiny_store, library_program, interface, wait_until
+):
+    request = _request()
+    expected = handle_request(
+        request, tiny_store, library_program=library_program, interface=interface
+    )
+    canonical = [r.canonical() for r in expected.result.reports]
+    payload = json.dumps(request.to_dict()).encode("utf-8")
+    server = ShardedAnalysisServer(
+        tiny_store, port=0, processes=2, poll_interval=0, library_program=library_program
+    )
+    with server:
+        processes = freeze_workers(server.pool)  # hold the job wherever it is routed
+        thread, outcome = _post_in_background(server.address, payload)
+        assert wait_until(lambda: server.pool.queue_depth == 1, timeout=30)
+        victim = _holder(server)
+        os.kill(processes[victim].pid, signal.SIGKILL)
+        thaw_workers([processes[1 - victim]])
+        thread.join(timeout=90)
+        assert not thread.is_alive(), "the orphaned request hung"
+        status, _headers, raw = outcome[0]
+        assert status == 200
+        assert canonical_reports(json.loads(raw)) == canonical
+        for _ in range(4):  # the survivor serves everything from here on
+            status, _headers, raw = _post_raw(server.address, payload)
+            assert status == 200
+            assert canonical_reports(json.loads(raw)) == canonical
+        assert server.pool.queue_depth == 0
+
+
+def test_no_live_worker_left_is_503_with_retry_after(tiny_store, library_program, wait_until):
+    payload = json.dumps(_request().to_dict()).encode("utf-8")
+    server = ShardedAnalysisServer(
+        tiny_store, port=0, processes=1, poll_interval=0, library_program=library_program
+    )
+    with server:
+        (only,) = freeze_workers(server.pool)
+        thread, outcome = _post_in_background(server.address, payload)
+        assert wait_until(lambda: server.pool.queue_depth == 1, timeout=30)
+        os.kill(only.pid, signal.SIGKILL)
+        thread.join(timeout=90)
+        assert not thread.is_alive(), "the orphaned request hung"
+        status, headers, raw = outcome[0]
+        assert status == 503
+        assert headers.get("Retry-After") == "1"
+        assert "proc-0 exited" in json.loads(raw)["error"]
+        # later arrivals are shed at submit, not queued behind a dead worker
+        status, body, retry_after = post_analyze(server.url, payload)
+        assert status == 503 and retry_after == 1.0
+        assert "no live worker" in body["error"]
+        assert server.pool.queue_depth == 0
+        assert fetch_json(server.url, "/healthz")["status"] == "ok"
 
 
 def test_canonical_request_key_tracks_the_corpus_digest():

@@ -1,16 +1,14 @@
-"""Hot reload under load: storing a new spec must not disturb in-flight work.
+"""Hot reload from the background poller: no explicit ``poll_once()`` needed.
 
 The daemon's deploy story is "``repro learn`` into the served store equals a
-zero-downtime deploy".  This test exercises that claim with real compiled
-analyzers: a burst of requests is in flight when a new spec version lands
-and the poller swaps the target -- every response must still arrive, carry
-the correct flows, and the swap must be observable as a ``SpecReloaded``
-event plus fresh per-worker ``SpecCompiled`` compilations (never one per
-request).
+zero-downtime deploy".  ``test_server_procpool.py`` swaps the spec with an
+explicit ``poll_once()``; here the pool's own polling thread notices the new
+version while requests are in flight, emits ``SpecReloaded``, and keeps
+serving under it.
 """
 
 from repro.engine.events import CollectingSink, SpecCompiled, SpecReloaded
-from repro.server.pool import WarmWorkerPool
+from repro.server.procpool import ProcessWorkerPool
 from repro.service.api import AnalyzeRequest, SuiteSpec, handle_request
 
 
@@ -23,37 +21,37 @@ def _flows(response):
 
 
 def test_hot_reload_under_load_drops_nothing(
-    tiny_store, tiny_atlas_result, library_program, interface, wait_until
+    tiny_store, tiny_atlas_result, library_program, wait_until
 ):
     sink = CollectingSink()
     expected = _flows(handle_request(_request(), tiny_store, library_program=library_program))
     old_spec_id = tiny_store.latest().spec_id
 
-    pool = WarmWorkerPool(
+    pool = ProcessWorkerPool(
         tiny_store,
-        workers=2,
+        processes=2,
         queue_depth=64,
         events=sink,
         library_program=library_program,
-        interface=interface,
     )
     with pool:
         startup_compiles = len(sink.of_type(SpecCompiled))
-        assert startup_compiles == 2  # one per worker, at startup
+        assert startup_compiles == 2  # one per process, at startup
+        pool.start_polling(0.05)
 
         # first wave: put the workers under load
         first_wave = [pool.submit(_request()) for _ in range(8)]
 
-        # deploy a new spec version while those requests are in flight
+        # deploy a new spec version while those requests are in flight; the
+        # polling thread, not the test, performs the swap
         record = tiny_store.put(tiny_atlas_result, library_program=library_program)
         assert record.spec_id != old_spec_id
-        assert pool.poll_once() is True
-        assert pool.current_spec_id == record.spec_id
+        assert wait_until(lambda: pool.current_spec_id == record.spec_id, timeout=10.0)
 
         # second wave: submitted after the swap, still racing the first
         second_wave = [pool.submit(_request()) for _ in range(8)]
 
-        responses = [future.result(timeout=30) for future in first_wave + second_wave]
+        responses = [future.result(timeout=300) for future in first_wave + second_wave]
 
     # zero dropped, zero incorrect: every response holds the expected flows
     assert len(responses) == 16
@@ -68,7 +66,7 @@ def test_hot_reload_under_load_drops_nothing(
     assert reloads[0].spec_id == record.spec_id
 
     # workers recompiled lazily for the new spec: at most one extra compile
-    # per worker, never one per request
+    # per process, never one per request
     compiles = sink.of_type(SpecCompiled)
     assert startup_compiles < len(compiles) <= startup_compiles + 2
     assert any(event.spec_id == record.spec_id for event in compiles)
@@ -78,15 +76,14 @@ def test_hot_reload_under_load_drops_nothing(
 
 
 def test_polling_thread_bumps_the_reload_counter(
-    tiny_store, tiny_atlas_result, library_program, interface, wait_until
+    tiny_store, tiny_atlas_result, library_program, wait_until
 ):
     sink = CollectingSink()
-    pool = WarmWorkerPool(
+    pool = ProcessWorkerPool(
         tiny_store,
-        workers=1,
+        processes=1,
         events=sink,
         library_program=library_program,
-        interface=interface,
     )
     with pool:
         pool.start_polling(0.05)

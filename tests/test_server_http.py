@@ -7,7 +7,7 @@ import urllib.request
 
 import pytest
 
-from repro.server import AnalysisServer
+from repro.server import ShardedAnalysisServer
 from repro.server.bench import (
     canonical_reports,
     fetch_json,
@@ -15,7 +15,8 @@ from repro.server.bench import (
     run_load,
     verify_against_inprocess,
 )
-from repro.service.api import AnalyzeRequest, SuiteSpec, handle_request, run_request
+from repro.service.api import AnalyzeRequest, SuiteSpec, handle_request
+from repro.testing import freeze_workers, thaw_workers
 
 SMALL = AnalyzeRequest(suite=SuiteSpec(count=2, max_statements=40))
 
@@ -33,14 +34,13 @@ def post_raw(url, body: bytes):
 
 
 @pytest.fixture
-def server(tiny_store, library_program, interface):
-    server = AnalysisServer(
+def server(tiny_store, library_program):
+    server = ShardedAnalysisServer(
         tiny_store,
         port=0,
-        workers=2,
+        processes=2,
         poll_interval=0,  # reload is driven explicitly via pool.poll_once()
         library_program=library_program,
-        interface=interface,
     )
     with server:
         yield server
@@ -51,7 +51,7 @@ def test_healthz_reports_spec_and_workers(server, tiny_store):
     health = fetch_json(server.url, "/healthz")
     assert health["status"] == "ok"
     assert health["spec_id"] == tiny_store.latest().spec_id
-    assert health["workers"] == 2
+    assert health["workers"] == health["processes"] == 2
     assert health["uptime_seconds"] >= 0.0
 
 
@@ -106,8 +106,10 @@ def test_metrics_count_requests_and_per_worker_compiles(server):
     assert set(metrics["latency"]["percentiles_seconds"]) == {"p50", "p90", "p99"}
     # the load-bearing claim: 8 requests, exactly one compile per worker
     assert metrics["specs"]["compilations"] == 2
-    assert metrics["specs"]["compilations_by_worker"] == {"worker-0": 1, "worker-1": 1}
-    assert metrics["analyses"]["programs"] >= 16  # 8 requests x 2-program suite
+    assert metrics["specs"]["compilations_by_worker"] == {"proc-0": 1, "proc-1": 1}
+    # every request was analyzed (2 programs each) or coalesced onto one that was
+    analyzed = metrics["analyses"]["programs"] // SMALL.suite.count
+    assert analyzed + metrics["requests"]["coalesced"] >= 8
     assert metrics["queue"]["capacity"] == server.pool.queue_capacity
     assert metrics["workers"] == 2
 
@@ -175,52 +177,45 @@ def test_keepalive_connection_survives_404_post_with_body(server):
 
 
 # --------------------------------------------------------------- backpressure
-def test_full_queue_is_503_with_retry_after(tiny_store, library_program, interface, wait_until):
-    gate = threading.Event()
-    picked_up = threading.Event()
-
-    def gated_handler(request, analyzer):
-        picked_up.set()
-        gate.wait(30)
-        return run_request(request, analyzer)
-
-    server = AnalysisServer(
+def test_full_queue_is_503_with_retry_after(tiny_store, library_program, wait_until):
+    """The pool's bound sheds with 503 + Retry-After even when the door's
+    admission limit would still let the request through."""
+    server = ShardedAnalysisServer(
         tiny_store,
         port=0,
-        workers=1,
+        processes=1,
         queue_depth=1,
+        admission_limit=4,
         poll_interval=0,
         library_program=library_program,
-        interface=interface,
-        handler=gated_handler,
     )
     payload = json.dumps(SMALL.to_dict()).encode("utf-8")
+    # a different document: it must reach the pool, not coalesce onto the first
+    other = AnalyzeRequest(suite=SuiteSpec(count=2, max_statements=40, seed=7))
     with server:
+        frozen = freeze_workers(server.pool)  # the only worker holds the job
         results = []
-
-        def fire():
-            results.append(post_analyze(server.url, payload))
-
-        first = threading.Thread(target=fire, daemon=True)
-        first.start()  # picked up by the single worker, which blocks on the gate
-        assert picked_up.wait(10)
-        assert wait_until(lambda: server.pool.queue_depth == 0)
-        second = threading.Thread(target=fire, daemon=True)
-        second.start()  # sits in the depth-1 queue
+        first = threading.Thread(
+            target=lambda: results.append(post_analyze(server.url, payload)), daemon=True
+        )
+        first.start()
         assert wait_until(lambda: server.pool.queue_depth == 1)
 
-        status, body, retry_after = post_analyze(server.url, payload)  # overflows
+        status, body, retry_after = post_analyze(
+            server.url, json.dumps(other.to_dict()).encode("utf-8")
+        )  # overflows the depth-1 pool
         assert status == 503
         assert retry_after is not None and retry_after >= 1
         assert "queue full" in body["error"]
 
-        gate.set()
+        thaw_workers(frozen)
         first.join(timeout=60)
-        second.join(timeout=60)
-        assert [status for status, _body, _retry in results] == [200, 200]
+        assert not first.is_alive()
+        assert [status for status, _body, _retry in results] == [200]
         metrics = fetch_json(server.url, "/metrics")
         assert metrics["requests"]["rejected"] == 1
         assert metrics["requests"]["by_status"]["503"] == 1
+        assert metrics["requests"]["admission_rejected"] == 0
 
 
 # ------------------------------------------------------------------ hot reload

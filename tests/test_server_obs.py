@@ -7,7 +7,7 @@ import urllib.request
 import pytest
 
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
-from repro.server import AnalysisServer
+from repro.server import ShardedAnalysisServer
 from repro.server.bench import bench_artifact, fetch_json, run_load
 from repro.server.metrics import ServerMetrics
 from repro.service.api import AnalyzeRequest, SuiteSpec
@@ -16,14 +16,13 @@ SMALL = AnalyzeRequest(suite=SuiteSpec(count=2, max_statements=40))
 
 
 @pytest.fixture
-def server(tiny_store, library_program, interface):
-    server = AnalysisServer(
+def server(tiny_store, library_program):
+    server = ShardedAnalysisServer(
         tiny_store,
         port=0,
-        workers=2,
+        processes=2,
         poll_interval=0,
         library_program=library_program,
-        interface=interface,
     )
     with server:
         yield server
@@ -89,8 +88,8 @@ def test_prometheus_exposition_is_valid_and_complete(server):
     assert series["repro_queue_depth"] == 0
     assert series["repro_queue_capacity"] == server.pool.queue_capacity
     assert series["repro_workers"] == 2
-    assert series['repro_spec_compilations_total{worker="worker-0"}'] == 1
-    assert series['repro_spec_compilations_total{worker="worker-1"}'] == 1
+    assert series['repro_spec_compilations_total{worker="proc-0"}'] == 1
+    assert series['repro_spec_compilations_total{worker="proc-1"}'] == 1
     assert series["repro_uptime_seconds"] > 0
     # request phases landed in the per-phase histogram via SpanFinished events
     for phase in ("server.request", "server.queue_wait", "analysis.andersen"):

@@ -1,25 +1,28 @@
-"""Tests for the warm worker pool: one compile per worker, backpressure, reload."""
-
-import threading
+"""Tests for the worker pool: one compile per worker, backpressure, reload."""
 
 import pytest
 
 from repro.engine.events import CollectingSink, SpecCompiled, SpecReloaded
-from repro.server.pool import MAX_CACHED_ANALYZERS, PoolSaturated, WarmWorkerPool
+from repro.server.procpool import (
+    MAX_CACHED_ANALYZERS,
+    PoolSaturated,
+    ProcessWorkerPool,
+    _evict_stale,
+)
 from repro.service.api import AnalyzeRequest, SuiteSpec, run_request
 from repro.service.store import SpecNotFoundError, SpecStore
+from repro.testing import freeze_workers, thaw_workers
 
 SMALL = AnalyzeRequest(suite=SuiteSpec(count=2, max_statements=40))
 
 
 @pytest.fixture
-def pool_factory(tiny_store, library_program, interface):
+def pool_factory(tiny_store, library_program):
     pools = []
 
     def make(**kwargs):
         kwargs.setdefault("library_program", library_program)
-        kwargs.setdefault("interface", interface)
-        pool = WarmWorkerPool(tiny_store, **kwargs)
+        pool = ProcessWorkerPool(tiny_store, **kwargs)
         pools.append(pool)
         return pool
 
@@ -32,20 +35,20 @@ def pool_factory(tiny_store, library_program, interface):
 # ------------------------------------------------------------- warm compilation
 def test_specs_compile_once_per_worker_not_per_request(pool_factory):
     sink = CollectingSink()
-    pool = pool_factory(workers=2, events=sink)
+    pool = pool_factory(processes=2, events=sink)
     pool.start()
     futures = [pool.submit(SMALL) for _ in range(6)]
     responses = [future.result(timeout=60) for future in futures]
     assert all(len(response.result.reports) == 2 for response in responses)
     compiled = sink.of_type(SpecCompiled)
     assert len(compiled) == 2  # one per worker, despite 6 requests
-    assert {event.worker for event in compiled} == {"worker-0", "worker-1"}
+    assert {event.worker for event in compiled} == {"proc-0", "proc-1"}
 
 
 def test_pool_responses_match_direct_run_request(pool_factory, tiny_store, library_program, interface):
     from repro.service.api import resolve_analyzer
 
-    pool = pool_factory(workers=1)
+    pool = pool_factory(processes=1)
     pool.start()
     served = pool.submit(SMALL).result(timeout=60)
     direct = run_request(
@@ -56,29 +59,20 @@ def test_pool_responses_match_direct_run_request(pool_factory, tiny_store, libra
 
 
 # ---------------------------------------------------------------- backpressure
-def test_bounded_queue_saturates_instead_of_growing(pool_factory, wait_until):
-    gate = threading.Event()
-
-    def gated_handler(request, analyzer):
-        gate.wait(30)
-        return run_request(request, analyzer)
-
-    pool = pool_factory(workers=1, queue_depth=1, handler=gated_handler)
+def test_bounded_queue_saturates_instead_of_growing(pool_factory):
+    pool = pool_factory(processes=1, queue_depth=2)
     pool.start()
-    in_flight = pool.submit(SMALL)
-    # the single worker picks the job up, leaving the queue empty again
-    assert wait_until(lambda: pool.queue_depth == 0)
-    queued = pool.submit(SMALL)  # fills the depth-1 queue
+    frozen = freeze_workers(pool)  # nothing resolves until the thaw
+    in_flight = [pool.submit(SMALL), pool.submit(SMALL)]  # fills the depth-2 budget
     with pytest.raises(PoolSaturated) as excinfo:
         pool.submit(SMALL)
     assert excinfo.value.retry_after_seconds >= 1
-    gate.set()
-    assert len(in_flight.result(timeout=60).result.reports) == 2
-    assert len(queued.result(timeout=60).result.reports) == 2
+    thaw_workers(frozen)
+    assert [len(f.result(timeout=60).result.reports) for f in in_flight] == [2, 2]
 
 
 def test_submit_before_start_is_an_error(pool_factory):
-    pool = pool_factory(workers=1)
+    pool = pool_factory(processes=1)
     with pytest.raises(RuntimeError):
         pool.submit(SMALL)
 
@@ -86,7 +80,7 @@ def test_submit_before_start_is_an_error(pool_factory):
 # ------------------------------------------------------------------ hot reload
 def test_poll_once_swaps_to_newer_spec(pool_factory, tiny_store, tiny_atlas_result, library_program):
     sink = CollectingSink()
-    pool = pool_factory(workers=1, events=sink)
+    pool = pool_factory(processes=1, events=sink)
     pool.start()
     first = pool.submit(SMALL).result(timeout=60)
     assert first.spec_id == tiny_store.latest().spec_id
@@ -107,22 +101,14 @@ def test_poll_once_swaps_to_newer_spec(pool_factory, tiny_store, tiny_atlas_resu
 def test_in_flight_request_keeps_its_analyzer_across_reload(
     pool_factory, tiny_store, tiny_atlas_result, library_program
 ):
-    gate = threading.Event()
-    picked_up = threading.Event()
-
-    def gated_handler(request, analyzer):
-        picked_up.set()
-        gate.wait(30)
-        return run_request(request, analyzer)
-
-    pool = pool_factory(workers=1, handler=gated_handler)
+    pool = pool_factory(processes=1)
     pool.start()
     original = pool.current_spec_id
+    frozen = freeze_workers(pool)
     in_flight = pool.submit(SMALL)
-    assert picked_up.wait(10)
     tiny_store.put(tiny_atlas_result, library_program=library_program)
-    assert pool.poll_once() is True  # swap happens while the request runs
-    gate.set()
+    assert pool.poll_once() is True  # swap happens while the request waits
+    thaw_workers(frozen)
     assert in_flight.result(timeout=60).spec_id == original
 
 
@@ -131,7 +117,7 @@ def test_explicitly_pinned_spec_id_is_served(pool_factory, tiny_store, tiny_atla
     old = tiny_store.latest().spec_id
     tiny_store.put(tiny_atlas_result, library_program=library_program)
     sink = CollectingSink()
-    pool = pool_factory(workers=1, events=sink)
+    pool = pool_factory(processes=1, events=sink)
     pool.start()  # compiles the new latest
     pinned = AnalyzeRequest(suite=SuiteSpec(count=1, max_statements=40), spec_id=old)
     response = pool.submit(pinned).result(timeout=60)
@@ -140,7 +126,7 @@ def test_explicitly_pinned_spec_id_is_served(pool_factory, tiny_store, tiny_atla
 
 
 def test_unknown_pinned_spec_id_fails_that_request_only(pool_factory):
-    pool = pool_factory(workers=1)
+    pool = pool_factory(processes=1)
     pool.start()
     bad = AnalyzeRequest(suite=SuiteSpec(count=1), spec_id="does-not-exist-v1")
     with pytest.raises(SpecNotFoundError):
@@ -149,22 +135,22 @@ def test_unknown_pinned_spec_id_fails_that_request_only(pool_factory):
     assert len(pool.submit(SMALL).result(timeout=60).result.reports) == 2
 
 
-def test_worker_analyzer_cache_is_bounded(pool_factory):
-    pool = pool_factory(workers=1)  # not started: _evict_stale is a pure helper
+def test_worker_analyzer_cache_is_bounded():
     analyzers = {f"spec-v{i}": object() for i in range(MAX_CACHED_ANALYZERS + 3)}
-    pool._evict_stale(analyzers, keep="spec-v6", also="spec-v5")
+    _evict_stale(analyzers, {"spec-v6", "spec-v5"})
     assert len(analyzers) == MAX_CACHED_ANALYZERS
     assert "spec-v6" in analyzers and "spec-v5" in analyzers  # in-use survive
     assert "spec-v0" not in analyzers  # oldest history evicted first
 
 
 # ----------------------------------------------------------------- empty store
-def test_start_on_empty_store_raises(tmp_path, library_program, interface):
-    pool = WarmWorkerPool(
+def test_start_on_empty_store_raises(tmp_path, library_program):
+    pool = ProcessWorkerPool(
         SpecStore(str(tmp_path / "none")),
-        workers=1,
+        processes=1,
         library_program=library_program,
-        interface=interface,
     )
     with pytest.raises(SpecNotFoundError):
         pool.start()
+    with pytest.raises(RuntimeError):
+        pool.submit(SMALL)  # a failed start leaves nothing to submit to

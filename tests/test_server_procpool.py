@@ -1,21 +1,22 @@
-"""The multi-process worker pool keeps every contract of the threaded pool.
+"""The worker process pool across the fork boundary.
 
-Same answers (bit-identical to in-process ``handle_request``), same
-amortization story (one ``SpecCompiled`` per *process*, never per request),
-same backpressure (``PoolSaturated`` at the admission bound), same
-zero-downtime hot reload, and same after-the-fact shadow mirroring -- only
-the execution substrate changes from GIL-shared threads to forked processes.
+Answers bit-identical to in-process ``handle_request``, one ``SpecCompiled``
+per *process* (never per request), backpressure (``PoolSaturated`` at the
+admission bound), zero-downtime hot reload, after-the-fact shadow
+mirroring, and a dead worker's jobs re-dispatched to a live sibling.
 """
 
+import os
+import signal
 import threading
 
 import pytest
 
 from repro.engine.events import CollectingSink, SpecCompiled, SpecReloaded
-from repro.server.pool import PoolSaturated
-from repro.server.procpool import ProcessWorkerPool
+from repro.server.procpool import PoolSaturated, ProcessWorkerPool, WorkerLost
 from repro.service.api import AnalyzeRequest, SuiteSpec, handle_request
 from repro.service.store import SpecNotFoundError, SpecStore
+from repro.testing import freeze_workers
 
 
 def _request(**overrides):
@@ -194,3 +195,27 @@ def test_shadow_mirroring_across_the_fork_boundary(
         ]
     assert pinned.spec_id == incumbent_id
     assert served[0].spec_id == incumbent_id
+
+
+def test_dead_workers_lost_shadow_is_reported_and_nothing_hangs(
+    tiny_store, library_program, wait_until
+):
+    """A job whose served result already landed has nothing to retry; the
+    mirror that died with its worker is reported through observe_error."""
+    pool = ProcessWorkerPool(tiny_store, processes=1, library_program=library_program)
+    with pool:
+        shadow = _Shadow(pool.current_spec_id)
+        pool.set_shadow(shadow)
+        (only,) = freeze_workers(pool)
+        pool.submit(_request())
+        (job,) = pool._pending.values()
+        job.served = object()  # as if the result shipped and only the mirror is left
+        unserved = pool.submit(_request())
+        os.kill(only.pid, signal.SIGKILL)
+        with pytest.raises(WorkerLost):
+            unserved.result(timeout=30)  # no sibling to retry on
+        assert wait_until(lambda: len(shadow.errors) == 1, timeout=30)
+        assert isinstance(shadow.errors[0], WorkerLost)
+        assert pool.queue_depth == 0
+        with pytest.raises(WorkerLost):
+            pool.submit(_request())

@@ -1,11 +1,11 @@
-"""The serving tiers running the compiled solver with a shared analysis cache."""
+"""The daemon running the compiled solver with a shared analysis cache."""
 
 import json
 import urllib.request
 
 import pytest
 
-from repro.server import AnalysisServer
+from repro.server import ShardedAnalysisServer
 from repro.server.bench import canonical_reports, fetch_json, post_analyze
 from repro.service.api import AnalyzeRequest, SuiteSpec, handle_request
 
@@ -13,14 +13,13 @@ SMALL = AnalyzeRequest(suite=SuiteSpec(count=2, max_statements=40))
 
 
 @pytest.fixture
-def compiled_server(tmp_path, tiny_store, library_program, interface):
-    server = AnalysisServer(
+def compiled_server(tmp_path, tiny_store, library_program):
+    server = ShardedAnalysisServer(
         tiny_store,
         port=0,
-        workers=2,
+        processes=2,
         poll_interval=0,
         library_program=library_program,
-        interface=interface,
         solver="compiled",
         analysis_cache_dir=str(tmp_path / "analysis-cache"),
     )
@@ -76,20 +75,17 @@ def test_metrics_count_solver_outcomes_and_cache_hits(compiled_server):
     assert second["cache_hit_rate"] > 0.0
 
 
-def test_cache_warmth_survives_a_server_restart(
-    tmp_path, tiny_store, library_program, interface
-):
+def test_cache_warmth_survives_a_server_restart(tmp_path, tiny_store, library_program):
     payload = json.dumps(SMALL.to_dict()).encode("utf-8")
     cache_dir = str(tmp_path / "analysis-cache")
 
     def boot():
-        return AnalysisServer(
+        return ShardedAnalysisServer(
             tiny_store,
             port=0,
-            workers=1,
+            processes=1,
             poll_interval=0,
             library_program=library_program,
-            interface=interface,
             solver="compiled",
             analysis_cache_dir=cache_dir,
         )
@@ -103,14 +99,13 @@ def test_cache_warmth_survives_a_server_restart(
         assert solver["by_outcome"].get("cold", 0) == 0
 
 
-def test_reference_tier_is_unchanged(tiny_store, library_program, interface):
-    server = AnalysisServer(
+def test_reference_tier_is_unchanged(tiny_store, library_program):
+    server = ShardedAnalysisServer(
         tiny_store,
         port=0,
-        workers=1,
+        processes=1,
         poll_interval=0,
         library_program=library_program,
-        interface=interface,
     )
     with server:
         payload = json.dumps(SMALL.to_dict()).encode("utf-8")
