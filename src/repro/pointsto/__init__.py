@@ -8,10 +8,10 @@ call graph based on receiver points-to sets.
 """
 
 from repro.pointsto.labels import (
-    ALIAS,
     ASSIGN,
     ASSIGN_BAR,
     FLOWS_TO,
+    FLOWS_TO_BAR,
     NEW,
     NEW_BAR,
     Symbol,
@@ -19,6 +19,7 @@ from repro.pointsto.labels import (
     TRANSFER_BAR,
     load,
     load_bar,
+    mirror,
     store,
     store_bar,
 )
@@ -29,12 +30,12 @@ from repro.pointsto.andersen import AndersenAnalysis, analyze
 from repro.pointsto.relations import PointsToResult
 
 __all__ = [
-    "ALIAS",
     "ASSIGN",
     "ASSIGN_BAR",
     "AndersenAnalysis",
     "CFLSolver",
     "FLOWS_TO",
+    "FLOWS_TO_BAR",
     "NEW",
     "NEW_BAR",
     "ObjNode",
@@ -49,6 +50,7 @@ __all__ = [
     "build_cpt_grammar",
     "load",
     "load_bar",
+    "mirror",
     "store",
     "store_bar",
 ]

@@ -26,7 +26,7 @@ from repro.pointsto.graph import (
     receiver_node,
     return_node,
 )
-from repro.pointsto.labels import ASSIGN, FLOWS_TO, barred
+from repro.pointsto.labels import ASSIGN, FLOWS_TO
 from repro.pointsto.relations import PointsToResult
 
 
@@ -115,7 +115,6 @@ class AndersenAnalysis:
             nonlocal added
             if solver.add_edge(source, ASSIGN, target):
                 added = True
-            solver.add_edge(target, barred(ASSIGN), source)
 
         if not callee.is_static:
             connect(site.receiver, receiver_node(callee_ref))

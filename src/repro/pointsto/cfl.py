@@ -17,7 +17,7 @@ from collections import deque
 from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.pointsto.grammar import NULLABLE, Production
-from repro.pointsto.labels import Symbol
+from repro.pointsto.labels import Symbol, mirror
 
 
 class CFLSolver:
@@ -85,11 +85,21 @@ class CFLSolver:
         self._node_id(node)
 
     def add_edge(self, source: Hashable, symbol: Symbol, target: Hashable) -> bool:
-        """Add an edge; returns ``True`` if it was new."""
+        """Add an edge and its mirrored twin; returns ``True`` if the edge was new.
+
+        ``source --X--> target`` comes with ``target --X̄--> source`` whenever
+        *symbol* has a :func:`~repro.pointsto.labels.mirror`.  Derived edges
+        get no such help: barred relations are derived literally from the
+        barred productions, which keeps this solver an independent oracle
+        for :class:`repro.solve.bitset.BitsetCFLSolver`'s transposition.
+        """
         source_id = self._node_id(source)
         target_id = self._node_id(target)
-        symbol_id = self._symbol_id(symbol)
-        return self._push(source_id, symbol_id, target_id)
+        added = self._push(source_id, self._symbol_id(symbol), target_id)
+        twin = mirror(symbol)
+        if twin is not None:
+            self._push(target_id, self._symbol_id(twin), source_id)
+        return added
 
     def solve(self) -> None:
         """Run the worklist to fixpoint (may be called repeatedly)."""

@@ -2,8 +2,9 @@
 
 Nodes are either program variables (:class:`VarNode`, scoped to their defining
 method) or abstract objects (:class:`ObjNode`, one per allocation site).
-Edges are labeled with the terminals of the points-to grammar; every edge also
-gets its reversed, "barred" counterpart (the *backwards* rule of Figure 2).
+Edges are labeled with the terminals of the points-to grammar.  Their
+reversed, "barred" counterparts (the *backwards* rule of Figure 2) are not
+listed: the solvers' ``add_edge`` records every edge's mirrored twin.
 
 Call statements are not translated to edges here; they are recorded as
 :class:`CallSite` entries so that :mod:`repro.pointsto.andersen` can resolve
@@ -22,7 +23,6 @@ from repro.pointsto.labels import (
     ASSIGN,
     NEW,
     Symbol,
-    barred,
     load as load_label,
     store as store_label,
 )
@@ -114,7 +114,6 @@ class PointsToGraph:
     # ------------------------------------------------------------------ extraction
     def _add_edge(self, source, symbol: Symbol, target) -> None:
         self.edges.append((source, symbol, target))
-        self.edges.append((target, barred(symbol), source))
         self.nodes.add(source)
         self.nodes.add(target)
 

@@ -2,8 +2,14 @@
 
 Terminals follow Figure 2 of the paper: ``Assign``, ``New``, ``Store[f]``,
 ``Load[f]`` and their "barred" (reversed-edge) counterparts.  Nonterminals
-follow Figure 3: ``Transfer``, the backwards ``TransferBar``, ``Alias`` and
-the start symbol ``FlowsTo``.
+follow Figure 3: ``Transfer``, the backwards ``TransferBar`` and the start
+symbol ``FlowsTo``, plus the helpers of the normalized grammar
+(:mod:`repro.pointsto.grammar`).  The paper's ``Alias`` is not a relation
+here: it is answered from ``FlowsTo``
+(:meth:`repro.pointsto.relations.PointsToResult.aliased`).
+
+Every edge ``u --X--> v`` whose symbol has a :func:`mirror` comes with its
+twin ``v --X̄--> u``; the solvers' ``add_edge`` records both.
 """
 
 from __future__ import annotations
@@ -67,21 +73,41 @@ _BAR_PAIRS = {
 }
 
 
-def barred(symbol: Symbol) -> Symbol:
-    """The reversed-edge counterpart of a terminal symbol."""
-    if symbol.name not in _BAR_PAIRS:
-        raise ValueError(f"symbol {symbol} has no barred counterpart")
-    return Symbol(_BAR_PAIRS[symbol.name], symbol.field)
-
-
 # Nonterminals ---------------------------------------------------------------
 TRANSFER = Symbol("Transfer")
 TRANSFER_BAR = Symbol("TransferBar")
-ALIAS = Symbol("Alias")
 FLOWS_TO = Symbol("FlowsTo")
+FLOWS_TO_BAR = Symbol("FlowsToBar")
 
 TERMINAL_NAMES = frozenset(_BAR_PAIRS)
 
 
 def is_terminal(symbol: Symbol) -> bool:
     return symbol.name in TERMINAL_NAMES
+
+
+# Mirrors --------------------------------------------------------------------
+#: nonterminals whose relations come in transposed pairs with their ``…Bar``
+_PAIRED_NONTERMINALS = ("Transfer", "FlowsTo", "StoreInto", "LoadFrom", "Heap")
+_MIRROR_NAMES = dict(_BAR_PAIRS)
+_MIRROR_NAMES.update({name: name + "Bar" for name in _PAIRED_NONTERMINALS})
+_MIRROR_NAMES.update({name + "Bar": name for name in _PAIRED_NONTERMINALS})
+
+#: names of the reversed side of every mirror pair
+_BARRED_NAMES = frozenset(name for name in _MIRROR_NAMES if name.endswith("Bar"))
+
+
+def mirror(symbol: Symbol) -> Optional[Symbol]:
+    """The symbol ``X̄`` with ``X̄(v, u)`` for every ``X(u, v)``, or ``None``.
+
+    Terminals pair through the bar table; of the nonterminals, ``Transfer``,
+    ``FlowsTo``, ``StoreInto[f]``, ``LoadFrom[f]`` and ``Heap[f]`` pair with
+    their ``…Bar``.  Any other symbol has no mirror.
+    """
+    name = _MIRROR_NAMES.get(symbol.name)
+    return None if name is None else Symbol(name, symbol.field)
+
+
+def is_barred(symbol: Symbol) -> bool:
+    """Whether *symbol* is the reversed side of a mirror pair."""
+    return symbol.name in _BARRED_NAMES

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Set, Tuple
+import itertools
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
 
 from repro.lang.program import Program
 from repro.pointsto.cfl import CFLSolver
 from repro.pointsto.graph import ObjNode, PointsToGraph, VarNode
-from repro.pointsto.labels import ALIAS, FLOWS_TO, TRANSFER, TRANSFER_BAR
+from repro.pointsto.labels import FLOWS_TO, TRANSFER, TRANSFER_BAR
 
 
 class PointsToResult:
@@ -46,8 +47,14 @@ class PointsToResult:
         return self.solver.reaching_sources(variable, FLOWS_TO, candidates)
 
     def aliased(self, left: VarNode, right: VarNode) -> bool:
-        """Whether *left* and *right* may point to a common object."""
-        return self.solver.has_edge(left, ALIAS, right)
+        """Whether *left* and *right* may point to a common object.
+
+        The paper's ``Alias`` relation, answered from ``FlowsTo``:
+        ``Alias(x, y)`` iff some ``o`` has ``FlowsTo(o, x)`` and ``FlowsTo(o, y)``.
+        """
+        return not self.solver.predecessors(left, FLOWS_TO).isdisjoint(
+            self.solver.predecessors(right, FLOWS_TO)
+        )
 
     def transfer(self, source: VarNode, target: VarNode) -> bool:
         """Whether *source* may be (indirectly) assigned to *target*."""
@@ -113,6 +120,14 @@ class PointsToResult:
         return mapping
 
     def iter_alias_pairs(self) -> Iterator[Tuple[VarNode, VarNode]]:
-        for source, target in self.solver.edges(ALIAS):
-            if isinstance(source, VarNode) and isinstance(target, VarNode):
-                yield source, target
+        """Every ordered pair of variables that may point to a common object."""
+        pointed_by: Dict[object, List[VarNode]] = {}
+        for obj, variable in self.solver.edges(FLOWS_TO):
+            if isinstance(variable, VarNode):
+                pointed_by.setdefault(obj, []).append(variable)
+        seen: Set[Tuple[VarNode, VarNode]] = set()
+        for variables in pointed_by.values():
+            for pair in itertools.product(variables, repeat=2):
+                if pair not in seen:
+                    seen.add(pair)
+                    yield pair

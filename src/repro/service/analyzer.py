@@ -334,9 +334,10 @@ class ClientAnalyzer:
                 solve_started = time.perf_counter()
                 cached = cache.get(digest) if cache is not None else None
                 if cached is None:
-                    points_to, outcome = self._compiled_engine().analyze(
-                        program, merged, digest
-                    )
+                    engine = self._compiled_engine()
+                    points_to, outcome = engine.analyze(program, merged, digest)
+                    solve_span.set("dispatch_rounds", engine.dispatch_rounds)
+                    solve_span.set("dispatch_capped", engine.dispatch_capped)
                     if points_to_observer is not None:
                         points_to_observer(points_to)
                 else:

@@ -21,6 +21,18 @@ joins only with the partners in their intersection: ``out_symbols[target] &
 partners`` per target bit for ``A -> symbol C``, ``in_symbols[source] &
 partners`` for ``A -> B symbol``.
 
+Each mirror pair is stored once.  ``add_edge`` records every edge whose
+symbol has a :func:`~repro.pointsto.labels.mirror` together with its barred
+twin, and the grammar is closed under mirroring, so every barred relation
+``X̄`` of the closure is ``X`` transposed -- and ``in[X]`` already holds it.
+A barred edge is stored as the transposed unbarred edge, a production with
+a barred left-hand side is replaced by its unbarred mirror, and every query
+on a barred symbol answers from the unbarred relation's other index
+(``total_edges`` counts a mirrored edge twice, as the reference does).  The
+one join with a barred operand, ``StoreInto[f] -> Store[f] FlowsToBar``,
+reads ``FlowsTo``'s ``in`` rows.  The reference solver derives barred
+relations literally, which is what keeps it an oracle for this.
+
 Two things the reference solver does not offer:
 
 * :meth:`add_productions` -- field-parameterized productions may be added
@@ -46,21 +58,38 @@ the reference solver checkable rather than aspirational.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.pointsto.grammar import NULLABLE, Production
-from repro.pointsto.labels import Symbol
+from repro.pointsto.labels import Symbol, is_barred, mirror
 
 #: a production index entry: (mask of partner symbol ids, partner -> LHS ids)
 _Join = Tuple[int, Dict[int, Tuple[int, ...]]]
 
 
-def _index_join(index: Dict[int, _Join], symbol: int, partner: int, produced: int) -> None:
-    """Record ``produced`` under ``index[symbol]`` for *partner*, copy-on-write."""
+def _index_join(index: Dict[int, _Join], symbol: int, partner: int, produced: int) -> bool:
+    """Record ``produced`` under ``index[symbol]`` for *partner*, copy-on-write.
+
+    Returns ``False`` when it is recorded already.
+    """
     partners, produces = index.get(symbol, (0, {}))
+    if produced in produces.get(partner, ()):
+        return False
     produces = dict(produces)
     produces[partner] = produces.get(partner, ()) + (produced,)
     index[symbol] = (partners | 1 << partner, produces)
+    return True
 
 
 class BitsetCFLSolver:
@@ -69,7 +98,8 @@ class BitsetCFLSolver:
     API-compatible with :class:`repro.pointsto.cfl.CFLSolver` (``add_node``,
     ``add_edge``, ``solve``, and every query), so
     :class:`~repro.pointsto.relations.PointsToResult` and the taint client
-    run unchanged on top of it.
+    run unchanged on top of it.  The answers match the reference's on any
+    grammar closed under mirroring, as ``build_cpt_grammar``'s is.
     """
 
     def __init__(
@@ -77,8 +107,11 @@ class BitsetCFLSolver:
         productions: Sequence[Production] = (),
         nullable: Iterable[Symbol] = NULLABLE,
     ):
+        #: the stored relations: unbarred symbols and symbols without a mirror
         self._symbol_ids: Dict[Symbol, int] = {}
         self._symbols: List[Symbol] = []
+        #: mask of the stored symbol ids that have a mirror
+        self._mirrored = 0
         self._node_ids: Dict[Hashable, int] = {}
         self._nodes: List[Hashable] = []
 
@@ -90,20 +123,25 @@ class BitsetCFLSolver:
         self._out_symbols: List[int] = []
         self._in_symbols: List[int] = []
         self._edge_counts: Dict[int, int] = {}
-        self._total_edges = 0
         self._worklist: deque = deque()
 
         # production indexes keyed by symbol id, copy-on-write (see fork):
         # A -> B is by_single[B] = (A, ...); A -> B C is
         # by_first[B] = (mask of C ids, {C: (A, ...)}) and
-        # by_second[C] = (mask of B ids, {B: (A, ...)})
+        # by_second[C] = (mask of B ids, {B: (A, ...)}); A -> B C̄ goes to
+        # by_first_bar and by_second_bar the same way
         self._by_single: Dict[int, Tuple[int, ...]] = {}
         self._by_first: Dict[int, _Join] = {}
         self._by_second: Dict[int, _Join] = {}
+        self._by_first_bar: Dict[int, _Join] = {}
+        self._by_second_bar: Dict[int, _Join] = {}
         self._productions: FrozenSet[Production] = frozenset()
         self.add_productions(productions)
 
-        self._nullable_ids = tuple(self._symbol_id(symbol) for symbol in nullable)
+        # a barred nullable symbol's self-loops are its mirror's
+        self._nullable_ids = tuple(
+            dict.fromkeys(self._relation(symbol)[0] for symbol in nullable)
+        )
 
     # ------------------------------------------------------------------ interning
     def _symbol_id(self, symbol: Symbol) -> int:
@@ -112,7 +150,33 @@ class BitsetCFLSolver:
             identifier = len(self._symbols)
             self._symbol_ids[symbol] = identifier
             self._symbols.append(symbol)
+            if mirror(symbol) is not None:
+                self._mirrored |= 1 << identifier
         return identifier
+
+    def _relation(self, symbol: Symbol) -> Tuple[int, bool]:
+        """The stored relation *symbol* reads (interned), and whether transposed."""
+        if is_barred(symbol):
+            return self._symbol_id(mirror(symbol)), True
+        return self._symbol_id(symbol), False
+
+    def _find(self, symbol: Symbol) -> Tuple[Optional[int], bool]:
+        """:meth:`_relation` without interning: ``None`` for a symbol never seen."""
+        if is_barred(symbol):
+            return self._symbol_ids.get(mirror(symbol)), True
+        return self._symbol_ids.get(symbol), False
+
+    def _rows(self, symbol: Symbol, outgoing: bool) -> Dict[int, int]:
+        """*symbol*'s rows keyed by source (*outgoing*) or by target.
+
+        A barred symbol reads its unbarred relation's other index.
+        """
+        relation, transposed = self._find(symbol)
+        if relation is None:
+            return {}
+        if transposed:
+            outgoing = not outgoing
+        return (self._out if outgoing else self._in).get(relation, {})
 
     def _node_id(self, node: Hashable) -> int:
         identifier = self._node_ids.get(node)
@@ -147,20 +211,27 @@ class BitsetCFLSolver:
         ]
         if not fresh:
             return 0
+        stored = [self._stored_production(production) for production in fresh]
         self._productions = self._productions.union(fresh)
         edge_counts = self._edge_counts
         requeue: Set[int] = set()
-        for production in fresh:
-            lhs = self._symbol_id(production.lhs)
-            rhs = [self._symbol_id(symbol) for symbol in production.rhs]
+        for lhs, rhs in stored:
             if len(rhs) == 1:
-                (only,) = rhs
-                self._by_single[only] = self._by_single.get(only, ()) + (lhs,)
-                requeue.add(only)
+                ((only, _),) = rhs
+                singles = self._by_single.get(only, ())
+                if lhs not in singles:
+                    self._by_single[only] = singles + (lhs,)
+                    requeue.add(only)
                 continue
-            first, second = rhs
-            _index_join(self._by_first, first, second, lhs)
-            _index_join(self._by_second, second, first, lhs)
+            (first, _), (second, transposed) = rhs
+            if transposed:
+                by_first, by_second = self._by_first_bar, self._by_second_bar
+            else:
+                by_first, by_second = self._by_first, self._by_second
+            # a mirrored pair of productions indexes once
+            if not _index_join(by_first, first, second, lhs):
+                continue
+            _index_join(by_second, second, first, lhs)
             first_edges = edge_counts.get(first, 0)
             second_edges = edge_counts.get(second, 0)
             if first_edges and second_edges:
@@ -171,16 +242,44 @@ class BitsetCFLSolver:
                 worklist.append((source, symbol, mask))
         return len(fresh)
 
+    def _stored_production(
+        self, production: Production
+    ) -> Tuple[int, Tuple[Tuple[int, bool], ...]]:
+        """*production* over stored relations: the LHS id, ``(id, transposed)`` per operand.
+
+        A production with a mirrored left-hand side stands for itself and
+        its mirror, so it must have one; a barred left-hand side is replaced
+        by the mirror.  Besides unbarred operands, the joins support one
+        shape: a barred second operand of a binary production
+        (``StoreInto[f] -> Store[f] FlowsToBar``).
+        """
+        lhs, barred = self._relation(production.lhs)
+        rhs = [self._relation(symbol) for symbol in production.rhs]
+        mirrored = self._mirrored
+        if mirrored >> lhs & 1 and not all(mirrored >> relation & 1 for relation, _ in rhs):
+            raise ValueError(f"production {production} has no mirror")
+        if barred:
+            # the mirror A -> B C of Ā -> C̄ B̄, in stored relations
+            rhs = [(relation, not transposed) for relation, transposed in reversed(rhs)]
+        if rhs[0][1]:
+            raise ValueError(f"production {production}: only a second operand may be barred")
+        return lhs, tuple(rhs)
+
     def add_node(self, node: Hashable) -> None:
         """Register *node* (ensuring its nullable self-loops exist)."""
         self._node_id(node)
 
     def add_edge(self, source: Hashable, symbol: Symbol, target: Hashable) -> bool:
-        """Add an edge; returns ``True`` if it was new."""
+        """Add an edge and so its mirrored twin; returns ``True`` if it was new.
+
+        A barred edge is stored as the transposed unbarred edge.
+        """
         source_id = self._node_id(source)
         target_id = self._node_id(target)
-        symbol_id = self._symbol_id(symbol)
-        return self._push(source_id, symbol_id, 1 << target_id) > 0
+        relation, transposed = self._relation(symbol)
+        if transposed:
+            source_id, target_id = target_id, source_id
+        return self._push(source_id, relation, 1 << target_id) > 0
 
     def solve(self) -> None:
         """Run the worklist to fixpoint (may be called repeatedly)."""
@@ -192,6 +291,8 @@ class BitsetCFLSolver:
         by_single = self._by_single
         by_first = self._by_first
         by_second = self._by_second
+        by_first_bar = self._by_first_bar
+        by_second_bar = self._by_second_bar
         push = self._push
 
         while worklist:
@@ -237,55 +338,82 @@ class BitsetCFLSolver:
                         for produced in produces[leader]:
                             push(predecessor, produced, mask)
 
+            # production A -> symbol C̄ : the C̄-successors of each new target
+            # are its C-predecessors, so the join reads C's in rows
+            firsts = by_first_bar.get(symbol)
+            if firsts:
+                partners, produces = firsts
+                remaining = mask
+                while remaining:
+                    low = remaining & -remaining
+                    target = low.bit_length() - 1
+                    remaining ^= low
+                    hits = in_symbols[target] & partners
+                    while hits:
+                        low = hits & -hits
+                        follower = low.bit_length() - 1
+                        hits ^= low
+                        predecessors = in_index[follower][target]
+                        for produced in produces[follower]:
+                            push(source, produced, predecessors)
+
+            # production A -> B symbolBar : the popped row source -> mask is
+            # the symbolBar column mask -> source, so every B-predecessor of
+            # a node in mask gains an A edge to source
+            seconds = by_second_bar.get(symbol)
+            if seconds:
+                partners, produces = seconds
+                bit = 1 << source
+                remaining = mask
+                while remaining:
+                    low = remaining & -remaining
+                    target = low.bit_length() - 1
+                    remaining ^= low
+                    hits = in_symbols[target] & partners
+                    while hits:
+                        low = hits & -hits
+                        leader = low.bit_length() - 1
+                        hits ^= low
+                        predecessors = in_index[leader][target]
+                        while predecessors:
+                            low = predecessors & -predecessors
+                            predecessor = low.bit_length() - 1
+                            predecessors ^= low
+                            for produced in produces[leader]:
+                                push(predecessor, produced, bit)
+
     # ------------------------------------------------------------------ queries
     def has_edge(self, source: Hashable, symbol: Symbol, target: Hashable) -> bool:
         source_id = self._node_ids.get(source)
         target_id = self._node_ids.get(target)
-        symbol_id = self._symbol_ids.get(symbol)
-        if source_id is None or target_id is None or symbol_id is None:
+        if source_id is None or target_id is None:
             return False
-        row = self._out.get(symbol_id)
-        if not row:
-            return False
-        return bool(row.get(source_id, 0) >> target_id & 1)
+        return bool(self._rows(symbol, True).get(source_id, 0) >> target_id & 1)
 
     def successors(self, source: Hashable, symbol: Symbol) -> Set[Hashable]:
-        source_id = self._node_ids.get(source)
-        symbol_id = self._symbol_ids.get(symbol)
-        if source_id is None or symbol_id is None:
-            return set()
-        row = self._out.get(symbol_id)
-        mask = row.get(source_id, 0) if row else 0
-        return set(self._iter_mask(mask))
+        return set(self.reachable(source, symbol))
 
     def predecessors(self, target: Hashable, symbol: Symbol) -> Set[Hashable]:
         target_id = self._node_ids.get(target)
-        symbol_id = self._symbol_ids.get(symbol)
-        if target_id is None or symbol_id is None:
+        if target_id is None:
             return set()
-        row = self._in.get(symbol_id)
-        mask = row.get(target_id, 0) if row else 0
-        return set(self._iter_mask(mask))
+        return set(self._iter_mask(self._rows(symbol, False).get(target_id, 0)))
 
     def reachable(self, source: Hashable, symbol: Symbol) -> Iterator[Hashable]:
         """Lazily iterate nodes reachable from *source* via *symbol*."""
         source_id = self._node_ids.get(source)
-        symbol_id = self._symbol_ids.get(symbol)
-        if source_id is None or symbol_id is None:
+        if source_id is None:
             return iter(())
-        row = self._out.get(symbol_id)
-        return self._iter_mask(row.get(source_id, 0) if row else 0)
+        return self._iter_mask(self._rows(symbol, True).get(source_id, 0))
 
     def reaching_sources(
         self, target: Hashable, symbol: Symbol, candidates: Iterable[Hashable]
     ) -> Iterator[Hashable]:
         """Bulk query: which *candidates* have a *symbol* edge into *target*?"""
         target_id = self._node_ids.get(target)
-        symbol_id = self._symbol_ids.get(symbol)
-        if target_id is None or symbol_id is None:
+        if target_id is None:
             return iter(())
-        row = self._in.get(symbol_id)
-        incoming = row.get(target_id, 0) if row else 0
+        incoming = self._rows(symbol, False).get(target_id, 0)
         if not incoming:
             return iter(())
         node_ids = self._node_ids
@@ -298,25 +426,23 @@ class BitsetCFLSolver:
 
     def edges(self, symbol: Symbol) -> Iterator[Tuple[Hashable, Hashable]]:
         """Iterate over all ``(source, target)`` pairs related by *symbol*."""
-        symbol_id = self._symbol_ids.get(symbol)
-        if symbol_id is None:
-            return iter(())
         nodes = self._nodes
         return (
             (nodes[source], target)
-            for source, mask in self._out.get(symbol_id, {}).items()
+            for source, mask in self._rows(symbol, True).items()
             for target in self._iter_mask(mask)
         )
 
     def edge_count(self, symbol: Symbol) -> int:
-        symbol_id = self._symbol_ids.get(symbol)
-        if symbol_id is None:
-            return 0
-        return self._edge_counts.get(symbol_id, 0)
+        return self._edge_counts.get(self._find(symbol)[0], 0)
 
     @property
     def total_edges(self) -> int:
-        return self._total_edges
+        """Edges of every relation, a mirrored edge counted with its barred twin."""
+        mirrored = self._mirrored
+        return sum(
+            count << (mirrored >> symbol & 1) for symbol, count in self._edge_counts.items()
+        )
 
     def nodes(self) -> Tuple[Hashable, ...]:
         return tuple(self._nodes)
@@ -332,6 +458,7 @@ class BitsetCFLSolver:
         clone = self.__class__.__new__(self.__class__)
         clone._symbol_ids = dict(self._symbol_ids)
         clone._symbols = list(self._symbols)
+        clone._mirrored = self._mirrored
         clone._node_ids = dict(self._node_ids)
         clone._nodes = list(self._nodes)
         clone._out = {key: dict(row) for key, row in self._out.items()}
@@ -339,11 +466,12 @@ class BitsetCFLSolver:
         clone._out_symbols = list(self._out_symbols)
         clone._in_symbols = list(self._in_symbols)
         clone._edge_counts = dict(self._edge_counts)
-        clone._total_edges = self._total_edges
         clone._worklist = deque(self._worklist)
         clone._by_single = dict(self._by_single)
         clone._by_first = dict(self._by_first)
         clone._by_second = dict(self._by_second)
+        clone._by_first_bar = dict(self._by_first_bar)
+        clone._by_second_bar = dict(self._by_second_bar)
         clone._productions = self._productions
         clone._nullable_ids = self._nullable_ids
         return clone
@@ -381,7 +509,6 @@ class BitsetCFLSolver:
             in_rows[target] = sources | bit
         count = new.bit_count()
         self._edge_counts[symbol] = self._edge_counts.get(symbol, 0) + count
-        self._total_edges += count
         self._worklist.append((source, symbol, new))
         return count
 

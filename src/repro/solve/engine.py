@@ -50,7 +50,7 @@ from repro.pointsto.graph import (
     receiver_node,
     return_node,
 )
-from repro.pointsto.labels import ASSIGN, FLOWS_TO, barred
+from repro.pointsto.labels import ASSIGN, FLOWS_TO
 from repro.pointsto.relations import PointsToResult
 from repro.solve.bitset import BitsetCFLSolver
 from repro.solve.delta import extension_starts
@@ -123,6 +123,11 @@ class CompiledAnalysisEngine:
         self.base_program = base_program
         self.max_dispatch_rounds = max_dispatch_rounds
         self.max_snapshots = max_snapshots
+        #: dispatch rounds the last solve ran, and whether max_dispatch_rounds
+        #: stopped it while call edges were still being added (its closure
+        #: may then be incomplete)
+        self.dispatch_rounds = 0
+        self.dispatch_capped = False
         self._base_class_names = frozenset(cls.name for cls in base_program)
         #: class names base statements reference but the base does not define;
         #: a client defining one would change how the base itself extracts
@@ -161,6 +166,8 @@ class CompiledAnalysisEngine:
         the engine's base snapshot; *digest* is the client's canonical
         digest (the snapshot-pool key).  The outcome is ``"incremental"``
         when a cached neighbor fixpoint was extended, else ``"cold"``.
+        :attr:`dispatch_rounds` and :attr:`dispatch_capped` then describe
+        this analysis.
         """
         client_doc = program_to_dict(client_program)
         neighbor: Optional[_Snapshot] = None
@@ -272,8 +279,13 @@ class CompiledAnalysisEngine:
         program: Program,
         call_sites: Tuple[CallSite, ...],
         resolved: Set[Tuple[int, MethodRef]],
-    ) -> int:
-        """Solve + on-the-fly call resolution, exactly as the reference does."""
+    ) -> None:
+        """Solve + on-the-fly call resolution, exactly as the reference does.
+
+        Records the rounds run in :attr:`dispatch_rounds`, and in
+        :attr:`dispatch_capped` whether the cap ended a round that still
+        added call edges.
+        """
         rounds = 0
         while True:
             solver.solve()
@@ -298,7 +310,8 @@ class CompiledAnalysisEngine:
                         added = True
             if not added or rounds >= self.max_dispatch_rounds:
                 break
-        return rounds
+        self.dispatch_rounds = rounds
+        self.dispatch_capped = added
 
     def _link_call(
         self,
@@ -314,7 +327,6 @@ class CompiledAnalysisEngine:
             nonlocal added
             if solver.add_edge(source, ASSIGN, target):
                 added = True
-            solver.add_edge(target, barred(ASSIGN), source)
 
         if not callee.is_static:
             connect(site.receiver, receiver_node(callee_ref))

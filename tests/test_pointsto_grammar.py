@@ -2,24 +2,35 @@
 
 import pytest
 
-from repro.pointsto.grammar import NULLABLE, Production, build_cpt_grammar, grammar_fields
+from repro.pointsto.grammar import (
+    NULLABLE,
+    Production,
+    build_cpt_grammar,
+    grammar_fields,
+    mirror_production,
+)
 from repro.pointsto.labels import (
-    ALIAS,
     ASSIGN,
     ASSIGN_BAR,
     FLOWS_TO,
+    FLOWS_TO_BAR,
     NEW,
     NEW_BAR,
     Symbol,
     TRANSFER,
     TRANSFER_BAR,
-    barred,
+    is_barred,
     is_terminal,
     load,
     load_bar,
+    mirror,
     store,
     store_bar,
 )
+
+#: the paper's Alias nonterminal, which the normalized grammar answers from
+#: FlowsTo instead of deriving
+ALIAS = Symbol("Alias")
 
 
 def test_symbols_are_field_parametric():
@@ -31,13 +42,18 @@ def test_symbols_are_field_parametric():
 
 
 def test_barred_round_trip():
-    assert barred(ASSIGN) == ASSIGN_BAR
-    assert barred(ASSIGN_BAR) == ASSIGN
-    assert barred(NEW) == NEW_BAR
-    assert barred(store("f")) == store_bar("f")
-    assert barred(load_bar("f")) == load("f")
-    with pytest.raises(ValueError):
-        barred(TRANSFER)
+    assert mirror(ASSIGN) == ASSIGN_BAR
+    assert mirror(ASSIGN_BAR) == ASSIGN
+    assert mirror(NEW) == NEW_BAR
+    assert mirror(store("f")) == store_bar("f")
+    assert mirror(load_bar("f")) == load("f")
+    # the nonterminals whose relations come in transposed pairs
+    assert mirror(TRANSFER) == TRANSFER_BAR
+    assert mirror(FLOWS_TO_BAR) == FLOWS_TO
+    assert mirror(Symbol("Heap", "f")) == Symbol("HeapBar", "f")
+    assert mirror(ALIAS) is None
+    assert is_barred(TRANSFER_BAR) and is_barred(store_bar("f"))
+    assert not is_barred(TRANSFER) and not is_barred(ALIAS)
 
 
 def test_is_terminal():
@@ -58,7 +74,19 @@ def test_grammar_contains_core_productions():
     assert (TRANSFER, (TRANSFER, ASSIGN)) in rules
     assert (TRANSFER_BAR, (ASSIGN_BAR, TRANSFER_BAR)) in rules
     assert (FLOWS_TO, (NEW, TRANSFER)) in rules
-    assert any(p.lhs == ALIAS for p in productions)
+    # the heap step, split at the abstract object the store and load share
+    field_productions = build_cpt_grammar(["f", "g"])
+    field_rules = {(p.lhs, p.rhs) for p in field_productions}
+    store_into, load_from = Symbol("StoreInto", "f"), Symbol("LoadFrom", "f")
+    assert (Symbol("Heap", "f"), (store_into, load_from)) in field_rules
+    assert (store_into, (store("f"), FLOWS_TO_BAR)) in field_rules
+    assert (load_from, (FLOWS_TO, load("f"))) in field_rules
+    # Alias is a query, not a relation
+    assert not any(
+        "Alias" in symbol.name for p in field_productions for symbol in (p.lhs, *p.rhs)
+    )
+    # closed under mirroring, which the bitset solver's transposition relies on
+    assert all(mirror_production(p) in set(field_productions) for p in field_productions)
 
 
 def test_grammar_instantiates_per_field():

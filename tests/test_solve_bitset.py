@@ -2,16 +2,20 @@
 
 import random
 
+import pytest
+
 from repro.pointsto.cfl import CFLSolver
 from repro.pointsto.grammar import NULLABLE, Production, build_cpt_grammar
 from repro.pointsto.labels import (
-    ALIAS,
     ASSIGN,
     ASSIGN_BAR,
     FLOWS_TO,
+    FLOWS_TO_BAR,
     NEW,
     NEW_BAR,
     Symbol,
+    TRANSFER,
+    TRANSFER_BAR,
     load,
     load_bar,
     store,
@@ -86,6 +90,32 @@ def test_late_productions_fire_over_existing_edges():
     assert solver.has_edge(1, C, 3)
     # re-adding the same production is a no-op
     assert solver.add_productions([Production(C, (S, B))]) == 0
+
+
+def test_productions_the_joins_cannot_mirror_are_refused():
+    # a mirrored left-hand side needs a mirrored right-hand side
+    with pytest.raises(ValueError):
+        BitsetCFLSolver([Production(TRANSFER, (TRANSFER, A))])
+    # a barred operand may only come second
+    with pytest.raises(ValueError):
+        BitsetCFLSolver([Production(S, (FLOWS_TO_BAR,))])
+    with pytest.raises(ValueError):
+        BitsetCFLSolver([Production(S, (FLOWS_TO_BAR, A))])
+
+
+def test_barred_edges_read_the_transposed_relation():
+    solver = BitsetCFLSolver([Production(TRANSFER, (TRANSFER, ASSIGN))])
+    assert solver.add_edge(1, ASSIGN_BAR, 2)
+    assert not solver.add_edge(2, ASSIGN, 1)
+    solver.solve()
+    assert solver.has_edge(2, TRANSFER, 1) and solver.has_edge(1, TRANSFER_BAR, 2)
+    assert solver.successors(1, ASSIGN_BAR) == {2}
+    assert solver.predecessors(1, TRANSFER_BAR) == {1}
+    assert sorted(solver.edges(ASSIGN_BAR)) == [(1, 2)]
+    assert solver.edge_count(ASSIGN_BAR) == solver.edge_count(ASSIGN) == 1
+    # the Transfer and TransferBar self-loops of both nodes, then Assign and
+    # Transfer from 2 to 1, each with its barred twin
+    assert solver.total_edges == 4 + 2 + 2
 
 
 # -------------------------------------------------------------------- queries
@@ -188,6 +218,36 @@ def test_randomized_parity_with_reference_solver():
                 reference.edges(production.lhs)
             )
 
+        # every query, on every symbol (barred ones read a transposed
+        # relation), then again on a fork that took ten more edges
+        grammar_symbols = {
+            symbol for production in grammar for symbol in (production.lhs, *production.rhs)
+        }
+        for solver in (compiled, compiled.fork()):
+            if solver is not compiled:
+                for _ in range(10):
+                    edge = (rng.randrange(12), rng.choice(symbols), rng.randrange(12))
+                    reference.add_edge(*edge)
+                    solver.add_edge(*edge)
+                reference.solve()
+                solver.solve()
+            assert solver.total_edges == reference.total_edges
+            nodes = range(12)
+            for symbol in sorted(grammar_symbols, key=str):
+                assert solver.edge_count(symbol) == reference.edge_count(symbol), symbol
+                for node in nodes:
+                    assert solver.successors(node, symbol) == reference.successors(node, symbol)
+                    assert solver.predecessors(node, symbol) == reference.predecessors(
+                        node, symbol
+                    )
+                    assert set(solver.reaching_sources(node, symbol, nodes)) == set(
+                        reference.reaching_sources(node, symbol, nodes)
+                    )
+                    for other in nodes:
+                        assert solver.has_edge(node, symbol, other) == reference.has_edge(
+                            node, symbol, other
+                        )
+
 
 def test_late_productions_match_a_reference_given_the_full_grammar():
     """Field productions arriving mid-stream derive exactly the up-front closure.
@@ -206,7 +266,9 @@ def test_late_productions_match_a_reference_given_the_full_grammar():
     symbols = sorted(
         {symbol for production in full for symbol in (production.lhs, *production.rhs)}, key=str
     )
-    base_labels = [ASSIGN, ASSIGN_BAR, NEW, NEW_BAR, ALIAS]
+    base_labels = [ASSIGN, ASSIGN_BAR, NEW, NEW_BAR, FLOWS_TO]
+    # the productions build_cpt_grammar adds for one field
+    per_field = len(set(build_cpt_grammar(("g",))) - set(build_cpt_grammar(())))
 
     def labels(field):
         return [store(field), load(field), store_bar(field), load_bar(field)]
@@ -218,8 +280,8 @@ def test_late_productions_match_a_reference_given_the_full_grammar():
 
     for _ in range(12):
         head_pool = base_labels + labels("f") + labels("h")
-        # every h label (and Alias) has an edge before h's productions arrive
-        head = [edge([label]) for label in labels("h") + [ALIAS]]
+        # every h label (and FlowsTo) has an edge before h's productions arrive
+        head = [edge([label]) for label in labels("h") + [FLOWS_TO]]
         head += [edge(head_pool) for _ in range(30)]
         rng.shuffle(head)
         tail = [edge(head_pool + labels("g")) for _ in range(30)]
@@ -237,10 +299,10 @@ def test_late_productions_match_a_reference_given_the_full_grammar():
                 compiled = compiled.fork()
             if index == g_at:
                 assert all(compiled.edge_count(label) == 0 for label in labels("g"))
-                assert compiled.add_productions(grammar["g"]) == 6
+                assert compiled.add_productions(grammar["g"]) == per_field
             if index == h_at:
                 compiled.solve()
-                assert compiled.add_productions(grammar["h"]) == 6
+                assert compiled.add_productions(grammar["h"]) == per_field
             if index == unary_at:
                 assert compiled.add_productions(unary) == 2
             if rng.random() < 0.2:

@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.diff.families import generate_scenario
+from repro.engine.events import CollectingSink
+from repro.obs import trace
 from repro.obs.journal import JournalEntry
 from repro.obs.report import render_summary, summarize
+from repro.solve import CompiledAnalysisEngine
 
 
 def solve_entry(outcome, span_id, elapsed, engine="compiled"):
@@ -66,3 +70,38 @@ def test_spans_without_outcome_attr_do_not_count_as_solves():
     assert summary["solver"]["total"] == 0
     # the span still shows up in the latency table
     assert summary["spans"]["analysis.solve"]["count"] == 1
+
+
+# ------------------------------------------------ dispatch rounds on the span
+def solve_span_attributes(analyzer, program, name):
+    sink = CollectingSink()
+    with trace.ambient_sink(sink, thread_local=True):
+        analyzer.analyze_program(program, name)
+    (solve,) = [event for event in sink.events if event.name == "analysis.solve"]
+    return solve.attributes()
+
+
+def test_solve_span_reports_dispatch_rounds_and_cap(ground_truth_analyzer):
+    # alias chains reach the library through instance calls, so their client
+    # needs a dispatch round after the one that resolves those calls
+    scenario = generate_scenario("alias-chains-obs", "alias-chains", 2018)
+    analyzer = ground_truth_analyzer.with_solver("compiled")
+    attrs = solve_span_attributes(analyzer, scenario.program, scenario.name)
+    assert attrs["outcome"] == "cold"
+    assert int(attrs["dispatch_rounds"]) >= 2
+    assert attrs["dispatch_capped"] == "False"
+
+    capped = ground_truth_analyzer.with_solver("compiled")
+    capped._engine = CompiledAnalysisEngine(capped.base_program, max_dispatch_rounds=1)
+    attrs = solve_span_attributes(capped, scenario.program, scenario.name)
+    assert attrs["dispatch_rounds"] == "1"
+    assert attrs["dispatch_capped"] == "True"
+
+
+def test_cache_hits_carry_no_dispatch_attributes(ground_truth_analyzer, tmp_path):
+    scenario = generate_scenario("alias-chains-hit", "alias-chains", 2019)
+    analyzer = ground_truth_analyzer.with_solver("compiled", analysis_cache_dir=str(tmp_path))
+    solve_span_attributes(analyzer, scenario.program, scenario.name)
+    attrs = solve_span_attributes(analyzer, scenario.program, scenario.name)
+    assert attrs["outcome"] == "hit"
+    assert "dispatch_rounds" not in attrs and "dispatch_capped" not in attrs
