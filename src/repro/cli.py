@@ -147,7 +147,6 @@ def cmd_analyze(args) -> int:
         request,
         SpecStore(args.store),
         events=_events(args.progress),
-        solver=args.solver,
         analysis_cache_dir=args.analysis_cache,
     )
     _write_json(response.to_dict(), args.out)
@@ -202,7 +201,6 @@ def cmd_serve(args) -> int:
         poll_interval=args.poll_interval,
         events=events,
         admission_limit=args.admission_limit,
-        solver=args.solver,
         analysis_cache_dir=args.analysis_cache,
     )
     server.start()
@@ -839,20 +837,13 @@ def _add_journal_flag(subparser) -> None:
     )
 
 
-def _add_solver_flags(subparser) -> None:
-    subparser.add_argument(
-        "--solver",
-        choices=("compiled", "reference"),
-        default=None,
-        help="analysis engine: 'compiled' (bitset CFL solver + analysis cache) "
-        "or 'reference' (default: $REPRO_SOLVER, else reference)",
-    )
+def _add_analysis_cache_flag(subparser) -> None:
     subparser.add_argument(
         "--analysis-cache",
         default=None,
         metavar="DIR",
-        help="content-addressed analysis result cache directory, compiled "
-        "solver only (default: $REPRO_ANALYSIS_CACHE)",
+        help="content-addressed analysis result cache directory "
+        "(default: $REPRO_ANALYSIS_CACHE)",
     )
 
 
@@ -893,7 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--out", default=None, help="write the JSON response here (default stdout)")
     analyze.add_argument("--no-timing", action="store_true", help="omit per-request timing")
     analyze.add_argument("--progress", action="store_true", help="stream analysis events to stderr")
-    _add_solver_flags(analyze)
+    _add_analysis_cache_flag(analyze)
     _add_journal_flag(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
@@ -937,7 +928,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds between spec-store polls for hot reload (0 disables)",
     )
     daemon.add_argument("--progress", action="store_true", help="stream server events to stderr")
-    _add_solver_flags(daemon)
+    _add_analysis_cache_flag(daemon)
     _add_journal_flag(daemon)
     daemon.set_defaults(func=cmd_serve)
 
@@ -1020,8 +1011,9 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--engine-check",
         action="store_true",
-        help="also run each pipeline through the compiled bitset solver and "
-        "report any flow mismatch as an engine-mismatch divergence",
+        help="also run each pipeline's reference oracle (whole-program "
+        "Andersen) and report any flow mismatch with the served engine as an "
+        "engine-mismatch divergence",
     )
     shrink_flags = fuzz.add_mutually_exclusive_group()
     shrink_flags.add_argument(

@@ -20,6 +20,10 @@ Pipeline names mirror the experiment layer's specification modes:
   directly over the library implementation, the independent cross-check;
 * ``store`` -- a learned specification loaded from a
   :class:`~repro.service.store.SpecStore`.
+
+With ``engine_check`` every pipeline is also compared with its reference
+oracle (:func:`reference_flows`); any difference is an ``engine-mismatch``
+divergence.
 """
 
 from __future__ import annotations
@@ -27,12 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.client.taint import Flow
+from repro.client.taint import Flow, InformationFlowAnalysis
 from repro.diff.families import GeneratedScenario
 from repro.diff.truth import ConcreteExecutionError, ConcreteTaintAnalysis
 from repro.lang.program import Program
 from repro.service.analyzer import (
-    SOLVER_COMPILED,
     ClientAnalyzer,
     _flow_sort_key,
     flow_from_dict,
@@ -199,6 +202,19 @@ def _sorted_flows(flows) -> Tuple[Flow, ...]:
     return tuple(sorted(flows, key=_flow_sort_key))
 
 
+def reference_flows(analyzer: ClientAnalyzer, program: Program) -> Tuple[Flow, ...]:
+    """The reference oracle's canonically sorted flows for *program*.
+
+    Runs :class:`~repro.pointsto.andersen.AndersenAnalysis` (the literal
+    :class:`~repro.pointsto.cfl.CFLSolver`, whole-program extraction) and
+    the taint client over ``program.merged_with(analyzer.base_program)`` --
+    none of the engine's pre-solved base, sliced extraction, snapshots or
+    cache.  ``--engine-check`` and the engine tests compare against it.
+    """
+    merged = program.merged_with(analyzer.base_program)
+    return _sorted_flows(InformationFlowAnalysis(merged).run().flows)
+
+
 class DifferentialChecker:
     """Checks programs against a fixed set of precompiled pipelines."""
 
@@ -214,14 +230,6 @@ class DifferentialChecker:
         self.analyzers = dict(analyzers)
         self.truth = ConcreteTaintAnalysis(library_program=library_program, max_steps=max_steps)
         self.engine_check = bool(engine_check)
-        # compiled twins share each pipeline's compiled spec but run the
-        # bitset engine, so every checked program also differentially tests
-        # repro.solve against the reference solver (kind: engine-mismatch)
-        self._compiled_twins: Dict[str, ClientAnalyzer] = {}
-        if self.engine_check:
-            for pipeline, analyzer in self.analyzers.items():
-                if analyzer.solver != SOLVER_COMPILED:
-                    self._compiled_twins[pipeline] = analyzer.with_solver(SOLVER_COMPILED)
 
     # ------------------------------------------------------------------ checks
     def check_program(
@@ -258,19 +266,19 @@ class DifferentialChecker:
                 if flow not in reported:
                     divergences.append(Divergence(kind=MISSED_FLOW, pipeline=pipeline, flow=flow))
             spurious[pipeline] = len(reported.difference(concrete))
-            twin = self._compiled_twins.get(pipeline)
-            if twin is not None:
-                compiled = set(twin.analyze_program(program, name).flows)
-                for flow in sorted(reported - compiled, key=_flow_sort_key):
-                    divergences.append(
-                        Divergence(
-                            kind=ENGINE_MISMATCH,
-                            pipeline=pipeline,
-                            flow=flow,
-                            detail="missing from compiled solver",
+            if self.engine_check:
+                reference = reference_flows(analyzer, program)
+                for flow in reference:
+                    if flow not in reported:
+                        divergences.append(
+                            Divergence(
+                                kind=ENGINE_MISMATCH,
+                                pipeline=pipeline,
+                                flow=flow,
+                                detail="missing from compiled solver",
+                            )
                         )
-                    )
-                for flow in sorted(compiled - reported, key=_flow_sort_key):
+                for flow in sorted(reported.difference(reference), key=_flow_sort_key):
                     divergences.append(
                         Divergence(
                             kind=ENGINE_MISMATCH,
@@ -306,4 +314,5 @@ __all__ = [
     "DifferentialChecker",
     "Divergence",
     "build_pipeline_analyzer",
+    "reference_flows",
 ]

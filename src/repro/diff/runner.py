@@ -47,7 +47,7 @@ class FuzzConfig:
     workers: int = 0
     pipeline: str = "ground_truth"  # primary pipeline under test
     cross_check: bool = True  # also run handwritten-model (implementation) Andersen
-    engine_check: bool = False  # cross-check the compiled bitset solver per pipeline
+    engine_check: bool = False  # cross-check each pipeline against reference_flows
     shrink: bool = True
     sample: int = 10  # passing programs frozen into the golden corpus
     guided: bool = False  # coverage-guided mutation mode (repro.diff.guided)

@@ -8,12 +8,17 @@ methods those abstract objects dispatch to and the solver continues from the
 enlarged graph.  Methods marked ``is_native`` contribute no internal edges,
 so flows through them are silently lost -- the source of unsoundness the
 paper measures when analyzing library implementations directly.
+
+:func:`dispatch_to_fixpoint` is that loop, shared by :class:`AndersenAnalysis`
+(over the reference :class:`~repro.pointsto.cfl.CFLSolver`) and the compiled
+engine of :mod:`repro.solve.engine` (over a forked
+:class:`~repro.solve.bitset.BitsetCFLSolver`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Set, Tuple
 
 from repro.lang.program import MethodRef, Program
 from repro.pointsto.cfl import CFLSolver
@@ -39,7 +44,66 @@ class AnalysisStats:
     call_sites: int = 0
     resolved_call_targets: int = 0
     dispatch_rounds: int = 0
+    #: whether max_dispatch_rounds stopped the run while call edges were
+    #: still being added (its closure may then be incomplete)
+    dispatch_capped: bool = False
     closure_edges: int = 0
+
+
+def dispatch_to_fixpoint(
+    solver,
+    program: Program,
+    call_sites: Sequence[CallSite],
+    resolved: Set[Tuple[int, MethodRef]],
+    max_rounds: int,
+) -> Tuple[int, bool]:
+    """Solve, then link newly resolved calls, until no call edge is added.
+
+    *resolved* holds the ``(call-site index, callee)`` pairs already linked
+    and grows in place.  Returns the rounds run and whether *max_rounds*
+    ended a round that still added call edges.
+    """
+    rounds = 0
+    while True:
+        solver.solve()
+        rounds += 1
+        added = False
+        for site_index, site in enumerate(call_sites):
+            for obj in solver.predecessors(site.receiver, FLOWS_TO):
+                if not isinstance(obj, ObjNode):
+                    continue
+                if not program.has_class(obj.allocated_class):
+                    continue
+                callee_ref = program.resolve_method(obj.allocated_class, site.method_name)
+                if callee_ref is None:
+                    continue
+                key = (site_index, callee_ref)
+                if key in resolved:
+                    continue
+                resolved.add(key)
+                if _link_call(site, callee_ref, program, solver):
+                    added = True
+        if not added or rounds >= max_rounds:
+            return rounds, added
+
+
+def _link_call(site: CallSite, callee_ref: MethodRef, program: Program, solver) -> bool:
+    callee = program.method_def(callee_ref)
+    added = False
+
+    def connect(source, target) -> None:
+        nonlocal added
+        if solver.add_edge(source, ASSIGN, target):
+            added = True
+
+    if not callee.is_static:
+        connect(site.receiver, receiver_node(callee_ref))
+    formals = parameter_nodes(callee, callee_ref)
+    for formal, actual in zip(formals, site.argument_nodes):
+        connect(actual, formal)
+    if site.target is not None and callee.returns_reference():
+        connect(return_node(callee_ref), site.target)
+    return added
 
 
 class AndersenAnalysis:
@@ -65,65 +129,12 @@ class AndersenAnalysis:
         self.stats.call_sites = len(graph.call_sites)
 
         resolved: Set[Tuple[int, MethodRef]] = set()
-        rounds = 0
-        while True:
-            solver.solve()
-            rounds += 1
-            added = self._resolve_calls(graph, solver, resolved)
-            if not added or rounds >= self.max_dispatch_rounds:
-                break
-
-        self.stats.dispatch_rounds = rounds
+        self.stats.dispatch_rounds, self.stats.dispatch_capped = dispatch_to_fixpoint(
+            solver, self.program, graph.call_sites, resolved, self.max_dispatch_rounds
+        )
         self.stats.resolved_call_targets = len(resolved)
         self.stats.closure_edges = solver.total_edges
         return PointsToResult(self.program, graph, solver)
-
-    # ------------------------------------------------------------------ dispatch
-    def _resolve_calls(
-        self,
-        graph: PointsToGraph,
-        solver: CFLSolver,
-        resolved: Set[Tuple[int, MethodRef]],
-    ) -> bool:
-        added_any = False
-        for site_index, site in enumerate(graph.call_sites):
-            receiver_objects = solver.predecessors(site.receiver, FLOWS_TO)
-            for obj in receiver_objects:
-                if not isinstance(obj, ObjNode):
-                    continue
-                callee_ref = self._dispatch(obj.allocated_class, site.method_name)
-                if callee_ref is None:
-                    continue
-                key = (site_index, callee_ref)
-                if key in resolved:
-                    continue
-                resolved.add(key)
-                if self._link_call(site, callee_ref, solver):
-                    added_any = True
-        return added_any
-
-    def _dispatch(self, class_name: str, method_name: str) -> Optional[MethodRef]:
-        if not self.program.has_class(class_name):
-            return None
-        return self.program.resolve_method(class_name, method_name)
-
-    def _link_call(self, site: CallSite, callee_ref: MethodRef, solver: CFLSolver) -> bool:
-        callee = self.program.method_def(callee_ref)
-        added = False
-
-        def connect(source, target) -> None:
-            nonlocal added
-            if solver.add_edge(source, ASSIGN, target):
-                added = True
-
-        if not callee.is_static:
-            connect(site.receiver, receiver_node(callee_ref))
-        formals = parameter_nodes(callee, callee_ref)
-        for formal, actual in zip(formals, site.argument_nodes):
-            connect(actual, formal)
-        if site.target is not None and callee.returns_reference():
-            connect(return_node(callee_ref), site.target)
-        return added
 
 
 def analyze(program: Program) -> PointsToResult:

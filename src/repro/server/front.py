@@ -194,7 +194,6 @@ class ShardedAnalysisServer:
         metrics: Optional[ServerMetrics] = None,
         library_program=None,
         admission_limit: Optional[int] = None,
-        solver: Optional[str] = None,
         analysis_cache_dir: Optional[str] = None,
     ):
         self.store = store
@@ -212,7 +211,6 @@ class ShardedAnalysisServer:
             queue_depth=queue_depth,
             events=self.events,
             library_program=library_program,
-            solver=solver,
             analysis_cache_dir=analysis_cache_dir,
         )
         # headroom above the pool bound: the door sheds before the loop fills

@@ -341,10 +341,10 @@ class ServerMetrics:
         return snapshot
 
     def _solver_snapshot(self) -> Dict:
-        """The compiled-engine counters: per-outcome counts plus derived rates.
+        """The solve counters: per-outcome counts plus derived rates.
 
-        All zeros under the reference solver -- the block is always present
-        so dashboards need not special-case engine selection.
+        All zeros before the first analysis -- the block is always present
+        so dashboards need not special-case an idle daemon.
         """
         by_outcome = self.solves_by_outcome
         total = sum(by_outcome.values())

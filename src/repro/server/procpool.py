@@ -184,7 +184,6 @@ def _worker_main(
     jobs,
     results,
     initial_spec_id: str,
-    solver: Optional[str] = None,
     analysis_cache_dir: Optional[str] = None,
 ) -> None:
     """One pre-forked worker: compile once, then serve jobs until the sentinel.
@@ -218,7 +217,6 @@ def _worker_main(
             spec_id=spec_id,
             library_program=library,
             interface=interface,
-            solver=solver,
             analysis_cache_dir=analysis_cache_dir,
             # per-process cache files in one shared directory: each worker
             # appends to its own, loads the union -- no write interleaving
@@ -295,11 +293,8 @@ def _worker_main(
             "analysis_seconds": time.perf_counter() - analysis_started,
             "andersen_seconds": sum(r.timing.andersen_seconds for r in reports),
             "taint_seconds": sum(r.timing.taint_seconds for r in reports),
+            "solve_seconds": sum(r.timing.solve_seconds for r in reports),
         }
-        if any(r.timing.solve_outcome is not None for r in reports):
-            timing["solve_seconds"] = sum(
-                r.timing.solve_seconds or 0.0 for r in reports
-            )
         results.put(("result", name, job_id, "ok", response.to_dict(), timing))
         if shadow_spec_id is not None and request.spec_id is None:
             # strictly after the served result shipped: nothing below can
@@ -353,14 +348,12 @@ class ProcessWorkerPool:
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         events: Optional[EventSink] = None,
         library_program=None,
-        solver: Optional[str] = None,
         analysis_cache_dir: Optional[str] = None,
     ):
         self.store = store
         self.processes = max(1, int(processes))
         self.queue_capacity = max(1, int(queue_depth))
         self.events = events if events is not None else NullSink()
-        self.solver = solver
         self.analysis_cache_dir = analysis_cache_dir
         # parent-side library build is for the fingerprint only; each worker
         # rebuilds its own copy (deterministic, so fingerprints agree)
@@ -425,7 +418,6 @@ class ProcessWorkerPool:
                     jobs,
                     self._results,
                     record.spec_id,
-                    self.solver,
                     self.analysis_cache_dir,
                 ),
                 name=f"repro-serve-{name}",

@@ -5,8 +5,12 @@ loads a learned specification once (typically from a :class:`SpecStore`),
 merges the analysis-invariant parts of every request -- core library stubs,
 the source/sink framework, the code-fragment specifications -- into one base
 program up front, and then answers "what are the information flows of this
-client program?" requests by running Andersen + the taint client per program
-with per-request timing.
+client program?" requests with per-request timing.  Each answer comes from
+the analysis result cache when one is configured, else from the
+:class:`~repro.solve.engine.CompiledAnalysisEngine` (which pre-solves the
+base once and forks it per program), followed by the taint client.  The
+reference :class:`~repro.pointsto.andersen.AndersenAnalysis` is not on this
+path; it stays as the test oracle (:func:`repro.diff.checker.reference_flows`).
 
 Flow reports are canonical: flows are sorted, and the :meth:`FlowReport.canonical`
 encoding excludes timing, so two reports for the same program under the same
@@ -16,7 +20,6 @@ produced them.
 
 from __future__ import annotations
 
-import copy
 import os
 import time
 from dataclasses import dataclass
@@ -29,24 +32,9 @@ from repro.lang.program import Program
 from repro.lang.serialize import program_digest
 from repro.library.registry import build_interface, build_library_program, core_program
 from repro.obs import trace as _trace
-from repro.pointsto.andersen import AndersenAnalysis
 
-#: engine selector values (``REPRO_SOLVER`` / ``--solver``)
-SOLVER_REFERENCE = "reference"
-SOLVER_COMPILED = "compiled"
-SOLVERS = (SOLVER_REFERENCE, SOLVER_COMPILED)
-
-#: environment fallbacks for the engine selector and the analysis cache
-SOLVER_ENV = "REPRO_SOLVER"
+#: environment fallback for the analysis cache directory
 ANALYSIS_CACHE_ENV = "REPRO_ANALYSIS_CACHE"
-
-
-def resolve_solver(value: Optional[str]) -> str:
-    """Normalize an engine selector: explicit value > environment > reference."""
-    chosen = value or os.environ.get(SOLVER_ENV) or SOLVER_REFERENCE
-    if chosen not in SOLVERS:
-        raise ValueError(f"unknown solver {chosen!r} (expected one of {SOLVERS})")
-    return chosen
 
 _FLOW_FIELDS = (
     "source_class",
@@ -75,9 +63,13 @@ def _flow_sort_key(flow: Flow) -> Tuple:
 class RequestTiming:
     """Wall-clock breakdown of one analysis request.
 
-    ``solve_seconds``/``solve_outcome`` are only populated by the compiled
-    engine: the outcome is ``"hit"`` (cache), ``"incremental"`` (extended a
-    cached fixpoint) or ``"cold"`` (forked the pre-solved base).
+    ``andersen_seconds`` runs from the request's start to the end of the
+    solve: the merge with the base program, the digest, the cache lookup
+    and the points-to solve (zero on a cache hit).  ``solve_seconds`` is
+    the lookup and solve alone, and ``solve_outcome`` says how the answer
+    came: ``"hit"`` (cache), ``"incremental"`` (extended a cached fixpoint)
+    or ``"cold"`` (forked the pre-solved base).  Both solve fields are
+    optional only so that reports encoded without them still decode.
     """
 
     andersen_seconds: float
@@ -150,7 +142,6 @@ class ClientAnalyzer:
         library_program: Optional[Program] = None,
         framework: Optional[Program] = None,
         spec_id: Optional[str] = None,
-        solver: Optional[str] = None,
         analysis_cache_dir: Optional[str] = None,
         analysis_cache_worker: Optional[str] = None,
     ):
@@ -161,12 +152,11 @@ class ClientAnalyzer:
             core_program(library).merged_with(framework).merged_with(spec_program)
         )
         self.spec_id = spec_id
-        self.solver = resolve_solver(solver)
         self.analysis_cache_dir = (
             analysis_cache_dir or os.environ.get(ANALYSIS_CACHE_ENV) or None
         )
         self.analysis_cache_worker = analysis_cache_worker
-        # both are built lazily (and dropped on pickling): the compiled engine
+        # both are built lazily (and dropped on pickling): the engine
         # pre-solves the base program, the cache reads its directory
         self._engine = None
         self._cache = None
@@ -180,7 +170,6 @@ class ClientAnalyzer:
         library_program: Optional[Program] = None,
         interface=None,
         config=None,
-        solver: Optional[str] = None,
         analysis_cache_dir: Optional[str] = None,
         analysis_cache_worker: Optional[str] = None,
     ) -> "ClientAnalyzer":
@@ -224,29 +213,11 @@ class ClientAnalyzer:
             result.spec_program,
             library_program=library,
             spec_id=spec_id,
-            solver=solver,
             analysis_cache_dir=analysis_cache_dir,
             analysis_cache_worker=analysis_cache_worker,
         )
 
     # -------------------------------------------------------------- engine/cache
-    def with_solver(
-        self, solver: str, analysis_cache_dir: Optional[str] = None
-    ) -> "ClientAnalyzer":
-        """A twin of this analyzer running *solver* (sharing the base program).
-
-        The differential fuzzer uses this to cross-check the compiled engine
-        against the reference on identical specifications without recompiling
-        the spec automaton.
-        """
-        clone = copy.copy(self)
-        clone.solver = resolve_solver(solver)
-        clone.analysis_cache_dir = analysis_cache_dir
-        clone._engine = None
-        clone._cache = None
-        clone._cache_loaded = False
-        return clone
-
     def _compiled_engine(self):
         if self._engine is None:
             from repro.solve.engine import CompiledAnalysisEngine
@@ -282,55 +253,23 @@ class ClientAnalyzer:
     def analyze_program(
         self, program: Program, name: str, points_to_observer=None
     ) -> FlowReport:
-        """Run Andersen + the taint client on one client program.
+        """Answer one client program: cache hit > incremental > cold solve.
 
-        *points_to_observer*, when given, is called with the
-        :class:`~repro.pointsto.relations.PointsToResult` right after the
-        Andersen step -- the hook the coverage-guided fuzzer uses to
-        fingerprint edge shapes without re-running any analysis.
-        """
-        if self.solver == SOLVER_COMPILED:
-            return self._analyze_compiled(program, name, points_to_observer)
-        with _trace.span("analysis.analyze", program=name):
-            started = time.perf_counter()
-            merged = program.merged_with(self.base_program)
-            with _trace.span("analysis.andersen", program=name):
-                points_to = AndersenAnalysis(merged).run()
-            if points_to_observer is not None:
-                points_to_observer(points_to)
-            after_andersen = time.perf_counter()
-            with _trace.span("analysis.taint", program=name):
-                report = InformationFlowAnalysis(merged).run(points_to=points_to)
-            finished = time.perf_counter()
-        return FlowReport(
-            program=name,
-            flows=tuple(sorted(report.flows, key=_flow_sort_key)),
-            timing=RequestTiming(
-                andersen_seconds=after_andersen - started,
-                taint_seconds=finished - after_andersen,
-                total_seconds=finished - started,
-            ),
-            spec_id=self.spec_id,
-        )
-
-    def _analyze_compiled(
-        self, program: Program, name: str, points_to_observer=None
-    ) -> FlowReport:
-        """The ``repro.solve`` hot path: cache hit > incremental > cold solve.
-
-        The cache is bypassed when an observer wants the points-to result (a
-        cached answer has no solver to observe).  Flows come back in the same
-        canonical order as the reference path, so reports are bit-identical
-        whichever engine -- or cache entry -- produced them.
+        The points-to solve runs on the compiled engine, then the taint
+        client on its closure.  *points_to_observer*, when given, is called
+        with the :class:`~repro.pointsto.relations.PointsToResult` right
+        after the solve -- the hook the coverage-guided fuzzer uses to
+        fingerprint edge shapes without re-running any analysis.  The cache
+        is bypassed when an observer is given (a cached answer has no
+        solver to observe).  Flows come back in canonical order, so reports
+        are bit-identical whichever path -- or cache entry -- produced them.
         """
         with _trace.span("analysis.analyze", program=name):
             started = time.perf_counter()
             merged = program.merged_with(self.base_program)
             digest = program_digest(program)
             cache = self._analysis_cache() if points_to_observer is None else None
-            with _trace.span(
-                "analysis.solve", program=name, engine=SOLVER_COMPILED
-            ) as solve_span:
+            with _trace.span("analysis.solve", program=name) as solve_span:
                 solve_started = time.perf_counter()
                 cached = cache.get(digest) if cache is not None else None
                 if cached is None:
@@ -387,11 +326,6 @@ __all__ = [
     "Flow",
     "FlowReport",
     "RequestTiming",
-    "SOLVERS",
-    "SOLVER_COMPILED",
-    "SOLVER_ENV",
-    "SOLVER_REFERENCE",
     "flow_from_dict",
     "flow_to_dict",
-    "resolve_solver",
 ]

@@ -232,7 +232,6 @@ def resolve_analyzer(
     store: SpecStore,
     library_program=None,
     interface=None,
-    solver: Optional[str] = None,
     analysis_cache_dir: Optional[str] = None,
 ) -> ClientAnalyzer:
     """Compile the specification a request names into a :class:`ClientAnalyzer`.
@@ -252,7 +251,6 @@ def resolve_analyzer(
         spec_id=request.spec_id,
         library_program=library_program,
         interface=interface,
-        solver=solver,
         analysis_cache_dir=analysis_cache_dir,
     )
 
@@ -312,7 +310,6 @@ def handle_request(
     events: Optional[EventSink] = None,
     library_program=None,
     interface=None,
-    solver: Optional[str] = None,
     analysis_cache_dir: Optional[str] = None,
 ) -> AnalyzeResponse:
     """Serve one request end to end: resolve specs, build corpus, analyze.
@@ -332,7 +329,6 @@ def handle_request(
         store,
         library_program=library,
         interface=interface,
-        solver=solver,
         analysis_cache_dir=analysis_cache_dir,
     )
     return run_request(request, analyzer, events=events)

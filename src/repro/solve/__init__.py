@@ -1,4 +1,4 @@
-"""``repro.solve``: the compiled per-request analysis hot path.
+"""``repro.solve``: the per-request analysis engine.
 
 Three pieces, each usable alone:
 
@@ -14,8 +14,9 @@ Three pieces, each usable alone:
   the oracle cache: flow reports content-addressed by ``(spec key,
   canonical program digest)`` in append-only JSONL with compaction.
 
-:class:`~repro.service.analyzer.ClientAnalyzer` selects this path with
-``solver="compiled"`` (or ``REPRO_SOLVER=compiled``).
+Every :class:`~repro.service.analyzer.ClientAnalyzer` answers through this
+path; the reference :class:`~repro.pointsto.andersen.AndersenAnalysis`
+remains only as the test oracle.
 """
 
 from repro.solve.bitset import BitsetCFLSolver

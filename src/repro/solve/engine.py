@@ -1,10 +1,12 @@
-"""The compiled per-request solve engine: pre-solved base, forked per query.
+"""The analysis engine: pre-solved base, forked per query.
 
-The reference path (:class:`repro.pointsto.andersen.AndersenAnalysis`)
-re-extracts and re-solves the *entire* merged program -- library stubs,
-framework, compiled specifications, client -- on every request, even though
-only the client varies.  This engine gives the per-query cost the same
-learn-once treatment the oracle cache gave inference:
+Every :class:`~repro.service.analyzer.ClientAnalyzer` answers through this
+engine.  The reference :class:`repro.pointsto.andersen.AndersenAnalysis`,
+kept as the test oracle, re-extracts and re-solves the *entire* merged
+program -- library stubs, framework, compiled specifications, client -- per
+program, even though only the client varies.  This engine gives the
+per-query cost the same learn-once treatment the oracle cache gave
+inference:
 
 1. **Compile once.**  At construction the analysis-invariant base program is
    extracted, its grammar instantiated, and its CFL closure solved to
@@ -23,6 +25,11 @@ learn-once treatment the oracle cache gave inference:
    only the delta edges -- the common shape under IDE-like and coalesced
    server traffic.
 
+All three are one solve path, ``_solve(start, program, only)``: extract the
+*only* slice of *program* on top of the *start* snapshot (``None`` = an
+empty solver) and run the dispatch loop the reference runs too,
+:func:`repro.pointsto.andersen.dispatch_to_fixpoint`.
+
 Soundness guardrails: extraction of the base against the base program alone
 is only equivalent to extraction against the merged program if no base
 statement resolves differently once client classes join.  Base classes
@@ -30,7 +37,7 @@ shadow same-named client classes in the merge, so the one hazard is a base
 reference to a class name the base itself does not define ("dangling") that
 a client then defines.  The constructor scans base statements for exactly
 those names; a client defining one falls back to a full merged-program
-solve, which is always correct.
+solve from an empty solver, which is always correct.
 """
 
 from __future__ import annotations
@@ -41,16 +48,9 @@ from typing import Dict, FrozenSet, Optional, Set, Tuple
 from repro.lang.program import MethodRef, Program
 from repro.lang.serialize import program_to_dict
 from repro.lang.statements import Call, New
+from repro.pointsto.andersen import dispatch_to_fixpoint
 from repro.pointsto.grammar import build_cpt_grammar
-from repro.pointsto.graph import (
-    CallSite,
-    ObjNode,
-    PointsToGraph,
-    parameter_nodes,
-    receiver_node,
-    return_node,
-)
-from repro.pointsto.labels import ASSIGN, FLOWS_TO
+from repro.pointsto.graph import CallSite, PointsToGraph
 from repro.pointsto.relations import PointsToResult
 from repro.solve.bitset import BitsetCFLSolver
 from repro.solve.delta import extension_starts
@@ -69,7 +69,7 @@ class GraphView:
     re-extracted graph.
     """
 
-    def __init__(self, program: Program, nodes: Set[object]):
+    def __init__(self, program: Program, nodes: FrozenSet[object]):
         self.program = program
         self.nodes = nodes
 
@@ -134,24 +134,7 @@ class CompiledAnalysisEngine:
         self._dangling_names = frozenset(
             _referenced_class_names(base_program) - self._base_class_names
         )
-
-        base_graph = PointsToGraph(base_program)
-        solver = BitsetCFLSolver(build_cpt_grammar(base_graph.fields))
-        for node in base_graph.nodes:
-            solver.add_node(node)
-        for source, symbol, target in base_graph.edges:
-            solver.add_edge(source, symbol, target)
-        resolved: Set[Tuple[int, MethodRef]] = set()
-        self._dispatch_to_fixpoint(
-            solver, base_program, tuple(base_graph.call_sites), resolved
-        )
-        self._base = _Snapshot(
-            solver=solver,
-            nodes=frozenset(base_graph.nodes),
-            call_sites=tuple(base_graph.call_sites),
-            resolved=frozenset(resolved),
-            client_doc=None,
-        )
+        _result, self._base = self._solve(None, base_program, None)
         #: digest -> solved snapshot, LRU-bounded; the neighbor pool
         #: incremental re-solve picks its starting fixpoint from
         self._snapshots: "OrderedDict[str, _Snapshot]" = OrderedDict()
@@ -170,21 +153,28 @@ class CompiledAnalysisEngine:
         this analysis.
         """
         client_doc = program_to_dict(client_program)
-        neighbor: Optional[_Snapshot] = None
-        starts: Optional[Dict[str, Dict[str, int]]] = None
         for old_digest in reversed(self._snapshots):
-            candidate = self._snapshots[old_digest]
-            classified = extension_starts(candidate.client_doc, client_doc)
-            if classified is not None:
-                neighbor, starts = candidate, classified
+            start = self._snapshots[old_digest]
+            only = extension_starts(start.client_doc, client_doc)
+            if only is not None:
+                outcome = INCREMENTAL
                 break
-
-        if neighbor is not None:
-            result, snapshot = self._extend(neighbor, starts, merged)
-            outcome = INCREMENTAL
         else:
-            result, snapshot = self._cold(client_program, merged)
             outcome = COLD
+            client_names = {cls.name for cls in client_program} - self._base_class_names
+            if client_names & self._dangling_names:
+                # the client defines a name the base references: base
+                # extraction against the base alone is no longer faithful --
+                # solve the whole merged program from scratch (rare, and
+                # always correct)
+                start, only = None, None
+            else:
+                start = self._base
+                only = {
+                    name: {method: 0 for method in merged.class_def(name).methods}
+                    for name in client_names
+                }
+        result, snapshot = self._solve(start, merged, only)
         snapshot.client_doc = client_doc
         self._snapshots[digest] = snapshot
         self._snapshots.move_to_end(digest)
@@ -192,150 +182,49 @@ class CompiledAnalysisEngine:
             self._snapshots.popitem(last=False)
         return result, outcome
 
-    # ------------------------------------------------------------- solve paths
-    def _cold(
-        self, client_program: Program, merged: Program
-    ) -> Tuple[PointsToResult, _Snapshot]:
-        client_names = {cls.name for cls in client_program} - self._base_class_names
-        if client_names & self._dangling_names:
-            # the client defines a name the base references: base extraction
-            # against the base alone is no longer faithful -- solve the whole
-            # merged program from scratch (rare, and always correct)
-            return self._full(merged)
-
-        solver = self._base.solver.fork()
-        only = {
-            name: {method: 0 for method in merged.class_def(name).methods}
-            for name in client_names
-        }
-        client_graph = PointsToGraph(merged, only=only)
-        solver.add_productions(build_cpt_grammar(client_graph.fields))
-        for node in client_graph.nodes:
-            solver.add_node(node)
-        for source, symbol, target in client_graph.edges:
-            solver.add_edge(source, symbol, target)
-        call_sites = self._base.call_sites + tuple(client_graph.call_sites)
-        resolved = set(self._base.resolved)
-        self._dispatch_to_fixpoint(solver, merged, call_sites, resolved)
-        nodes = set(self._base.nodes) | client_graph.nodes
-        snapshot = _Snapshot(
-            solver=solver,
-            nodes=frozenset(nodes),
-            call_sites=call_sites,
-            resolved=frozenset(resolved),
-            client_doc=None,
-        )
-        return PointsToResult(merged, GraphView(merged, nodes), solver), snapshot
-
-    def _extend(
+    # ------------------------------------------------------------------- solve
+    def _solve(
         self,
-        neighbor: _Snapshot,
-        starts: Dict[str, Dict[str, int]],
-        merged: Program,
+        start: Optional[_Snapshot],
+        program: Program,
+        only: Optional[Dict[str, Dict[str, int]]],
     ) -> Tuple[PointsToResult, _Snapshot]:
-        solver = neighbor.solver.fork()
-        delta_graph = PointsToGraph(merged, only=starts)
-        solver.add_productions(build_cpt_grammar(delta_graph.fields))
-        for node in delta_graph.nodes:
-            solver.add_node(node)
-        for source, symbol, target in delta_graph.edges:
-            solver.add_edge(source, symbol, target)
-        call_sites = neighbor.call_sites + tuple(delta_graph.call_sites)
-        resolved = set(neighbor.resolved)
-        self._dispatch_to_fixpoint(solver, merged, call_sites, resolved)
-        nodes = set(neighbor.nodes) | delta_graph.nodes
-        snapshot = _Snapshot(
-            solver=solver,
-            nodes=frozenset(nodes),
-            call_sites=call_sites,
-            resolved=frozenset(resolved),
-            client_doc=None,
-        )
-        return PointsToResult(merged, GraphView(merged, nodes), solver), snapshot
+        """Extract *only* of *program* on top of *start*, then dispatch to fixpoint.
 
-    def _full(self, merged: Program) -> Tuple[PointsToResult, _Snapshot]:
-        graph = PointsToGraph(merged)
-        solver = BitsetCFLSolver(build_cpt_grammar(graph.fields))
+        *start* is the solved base, a cached neighbor, or ``None`` for an
+        empty solver (the base build itself, and the dangling-name fallback);
+        *only* restricts extraction as in :class:`PointsToGraph` (``None``
+        extracts the whole program).  Records the dispatch rounds in
+        :attr:`dispatch_rounds` and :attr:`dispatch_capped`.
+        """
+        graph = PointsToGraph(program, only=only)
+        productions = build_cpt_grammar(graph.fields)
+        if start is None:
+            solver = BitsetCFLSolver(productions)
+            nodes: FrozenSet[object] = frozenset()
+            call_sites: Tuple[CallSite, ...] = ()
+            resolved: Set[Tuple[int, MethodRef]] = set()
+        else:
+            solver = start.solver.fork()
+            solver.add_productions(productions)
+            nodes, call_sites, resolved = start.nodes, start.call_sites, set(start.resolved)
         for node in graph.nodes:
             solver.add_node(node)
         for source, symbol, target in graph.edges:
             solver.add_edge(source, symbol, target)
-        call_sites = tuple(graph.call_sites)
-        resolved: Set[Tuple[int, MethodRef]] = set()
-        self._dispatch_to_fixpoint(solver, merged, call_sites, resolved)
+        nodes |= graph.nodes
+        call_sites += tuple(graph.call_sites)
+        self.dispatch_rounds, self.dispatch_capped = dispatch_to_fixpoint(
+            solver, program, call_sites, resolved, self.max_dispatch_rounds
+        )
         snapshot = _Snapshot(
             solver=solver,
-            nodes=frozenset(graph.nodes),
+            nodes=nodes,
             call_sites=call_sites,
             resolved=frozenset(resolved),
             client_doc=None,
         )
-        return PointsToResult(merged, GraphView(merged, graph.nodes), solver), snapshot
-
-    # ------------------------------------------------------------------ dispatch
-    def _dispatch_to_fixpoint(
-        self,
-        solver: BitsetCFLSolver,
-        program: Program,
-        call_sites: Tuple[CallSite, ...],
-        resolved: Set[Tuple[int, MethodRef]],
-    ) -> None:
-        """Solve + on-the-fly call resolution, exactly as the reference does.
-
-        Records the rounds run in :attr:`dispatch_rounds`, and in
-        :attr:`dispatch_capped` whether the cap ended a round that still
-        added call edges.
-        """
-        rounds = 0
-        while True:
-            solver.solve()
-            rounds += 1
-            added = False
-            for site_index, site in enumerate(call_sites):
-                for obj in solver.predecessors(site.receiver, FLOWS_TO):
-                    if not isinstance(obj, ObjNode):
-                        continue
-                    if not program.has_class(obj.allocated_class):
-                        continue
-                    callee_ref = program.resolve_method(
-                        obj.allocated_class, site.method_name
-                    )
-                    if callee_ref is None:
-                        continue
-                    key = (site_index, callee_ref)
-                    if key in resolved:
-                        continue
-                    resolved.add(key)
-                    if self._link_call(site, callee_ref, program, solver):
-                        added = True
-            if not added or rounds >= self.max_dispatch_rounds:
-                break
-        self.dispatch_rounds = rounds
-        self.dispatch_capped = added
-
-    def _link_call(
-        self,
-        site: CallSite,
-        callee_ref: MethodRef,
-        program: Program,
-        solver: BitsetCFLSolver,
-    ) -> bool:
-        callee = program.method_def(callee_ref)
-        added = False
-
-        def connect(source, target) -> None:
-            nonlocal added
-            if solver.add_edge(source, ASSIGN, target):
-                added = True
-
-        if not callee.is_static:
-            connect(site.receiver, receiver_node(callee_ref))
-        formals = parameter_nodes(callee, callee_ref)
-        for formal, actual in zip(formals, site.argument_nodes):
-            connect(actual, formal)
-        if site.target is not None and callee.returns_reference():
-            connect(return_node(callee_ref), site.target)
-        return added
+        return PointsToResult(program, GraphView(program, nodes), solver), snapshot
 
 
 __all__ = ["COLD", "CompiledAnalysisEngine", "GraphView", "INCREMENTAL"]

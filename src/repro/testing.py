@@ -102,6 +102,24 @@ def implementation_analyzer(library_program, interface):
     )
 
 
+@pytest.fixture
+def fresh_ground_truth_analyzer(library_program, interface):
+    """Factory of ground-truth analyzers, each with an empty snapshot pool.
+
+    The session-scoped analyzers keep the engine snapshots of every earlier
+    test, so a program one of them already solved comes back
+    ``incremental``; a test that asserts a ``cold`` outcome builds its own.
+    """
+    from repro.diff.checker import build_pipeline_analyzer
+
+    def _build():
+        return build_pipeline_analyzer(
+            "ground_truth", library_program=library_program, interface=interface
+        )
+
+    return _build
+
+
 # ------------------------------------------------------------------- utilities
 @pytest.fixture
 def wait_until():

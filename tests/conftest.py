@@ -18,6 +18,7 @@ if _SRC not in sys.path:
 from repro.testing import (  # noqa: E402,F401 - fixtures discovered via this namespace
     core,
     framework_program,
+    fresh_ground_truth_analyzer,
     ground_truth_analyzer,
     handwritten_analyzer,
     implementation_analyzer,

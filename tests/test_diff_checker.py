@@ -1,13 +1,17 @@
 """Tests for the differential checker and its pipelines."""
 
+import dataclasses
+
 import pytest
 
 from repro.diff.checker import (
     CRASH,
+    ENGINE_MISMATCH,
     MISSED_FLOW,
     DifferentialChecker,
     Divergence,
     build_pipeline_analyzer,
+    reference_flows,
 )
 from repro.diff.families import generate_scenario
 from repro.lang.builder import ClassBuilder, MethodBuilder
@@ -129,3 +133,57 @@ def test_build_pipeline_analyzer_modes(library_program, interface, tiny_store):
         build_pipeline_analyzer("nope", library_program=library_program, interface=interface)
     with pytest.raises(ValueError, match="needs a SpecStore"):
         build_pipeline_analyzer("store", library_program=library_program, interface=interface)
+
+
+class _SkewedAnalyzer:
+    """Wraps a pipeline so its reports drop one flow and fabricate another."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.base_program = inner.base_program
+        self.dropped = None
+        self.fabricated = None
+
+    def analyze_program(self, program, name, points_to_observer=None):
+        report = self.inner.analyze_program(
+            program, name, points_to_observer=points_to_observer
+        )
+        self.dropped = report.flows[0]
+        self.fabricated = dataclasses.replace(
+            self.dropped, sink_statement_index=self.dropped.sink_statement_index + 100
+        )
+        flows = tuple(
+            sorted(set(report.flows[1:]) | {self.fabricated}, key=dataclasses.astuple)
+        )
+        return dataclasses.replace(report, flows=flows)
+
+
+def _engine_mismatches(outcome):
+    return [d for d in outcome.divergences if d.kind == ENGINE_MISMATCH]
+
+
+def test_engine_check_reports_mismatches_in_both_directions(
+    ground_truth_analyzer, library_program
+):
+    program = _program(_linked_list_leak)
+    skewed = _SkewedAnalyzer(ground_truth_analyzer)
+    checker = DifferentialChecker(
+        {"ground_truth": skewed}, library_program=library_program, engine_check=True
+    )
+    outcome = checker.check_program(program, "CheckApp")
+    assert skewed.dropped in reference_flows(ground_truth_analyzer, program)
+    mismatches = _engine_mismatches(outcome)
+    assert len(mismatches) == 2
+    missing, extra = mismatches
+    assert (missing.detail, missing.flow) == ("missing from compiled solver", skewed.dropped)
+    assert (extra.detail, extra.flow) == ("extra in compiled solver", skewed.fabricated)
+    assert {missing.pipeline, extra.pipeline} == {"ground_truth"}
+
+    # the honest analyzer agrees with its oracle; without the check, nothing runs
+    for analyzer, engine_check in ((ground_truth_analyzer, True), (skewed, False)):
+        checker = DifferentialChecker(
+            {"ground_truth": analyzer},
+            library_program=library_program,
+            engine_check=engine_check,
+        )
+        assert _engine_mismatches(checker.check_program(program, "CheckApp")) == []

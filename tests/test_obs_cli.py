@@ -69,7 +69,7 @@ def test_fuzz_journal_is_one_rooted_trace(tmp_path, capsys):
         stack.extend(node.children)
     assert {
         "cli.fuzz", "fuzz.campaign", "fuzz.check",
-        "analysis.analyze", "analysis.andersen", "analysis.taint",
+        "analysis.analyze", "analysis.solve", "analysis.taint",
     } <= names
 
 

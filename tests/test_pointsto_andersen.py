@@ -174,6 +174,27 @@ def test_stats_are_populated(library_program):
     assert analysis.stats.resolved_call_targets >= 2
 
 
+def test_dispatch_cap_is_reported_not_silent():
+    # the Box calls resolve in the first dispatch round, so their link-up
+    # needs a second solve round
+    def body(m):
+        m.new("box", "Box").new("x", "Object")
+        m.call(None, "box", "set", "x")
+        m.call("y", "box", "get")
+
+    program = _box_program(_client(body))
+    capped = AndersenAnalysis(program, max_dispatch_rounds=1)
+    capped_result = capped.run()
+    assert capped.stats.dispatch_rounds == 1
+    assert capped.stats.dispatch_capped is True
+    assert not capped_result.aliased(var("x"), var("y"))
+
+    full = AndersenAnalysis(program)
+    assert full.run().aliased(var("x"), var("y"))
+    assert full.stats.dispatch_rounds >= 2
+    assert full.stats.dispatch_capped is False
+
+
 def test_points_to_map_and_alias_pairs():
     def body(m):
         m.new("a", "Object").assign("b", "a")

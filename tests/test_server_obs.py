@@ -92,7 +92,7 @@ def test_prometheus_exposition_is_valid_and_complete(server):
     assert series['repro_spec_compilations_total{worker="proc-1"}'] == 1
     assert series["repro_uptime_seconds"] > 0
     # request phases landed in the per-phase histogram via SpanFinished events
-    for phase in ("server.request", "server.queue_wait", "analysis.andersen"):
+    for phase in ("server.request", "server.queue_wait", "analysis.solve"):
         assert series[f'repro_phase_seconds_count{{phase="{phase}"}}'] >= 1, phase
 
 
@@ -134,9 +134,9 @@ def test_server_timing_breaks_the_request_into_phases(server):
     parts = dict(
         part.strip().split(";dur=", 1) for part in timing.split(",") if ";dur=" in part
     )
-    assert set(parts) == {"queue", "andersen", "taint", "analysis"}
+    assert set(parts) == {"queue", "andersen", "taint", "solve", "analysis"}
     durations = {name: float(value) for name, value in parts.items()}
-    assert durations["analysis"] >= durations["andersen"] >= 0.0
+    assert durations["analysis"] >= durations["andersen"] >= durations["solve"] >= 0.0
     assert durations["queue"] >= 0.0
 
 

@@ -120,7 +120,7 @@ def test_warmth_survives_a_restart_under_another_hash_seed(tmp_path):
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         subprocess.run(
             [sys.executable, "-m", "repro.cli", "analyze", "--store", store_dir,
-             "--solver", "compiled", "--analysis-cache", cache_dir,
+             "--analysis-cache", cache_dir,
              "--count", "3", "--max-statements", "40", "--out", out],
             env=env, check=True, capture_output=True, timeout=120,
         )

@@ -1,9 +1,9 @@
 """Property tests for the compiled analysis engine (repro.solve.engine).
 
-The headline guarantee: for any program the fuzz families generate, the
-compiled bitset pipeline reports *bit-identical* flows to the reference
-pipeline -- and its incremental re-solve of an edited neighbor equals a cold
-solve of the edited program.
+The headline guarantee: for any program the fuzz families generate, every
+pipeline reports *bit-identical* flows to its reference oracle
+(:func:`repro.diff.checker.reference_flows`) -- and the engine's incremental
+re-solve of an edited neighbor equals a cold solve of the edited program.
 """
 
 import dataclasses
@@ -11,11 +11,22 @@ import random
 
 import pytest
 
+from repro.diff.checker import reference_flows
 from repro.diff.families import FAMILIES, generate_scenario
+from repro.lang.builder import ClassBuilder
 from repro.lang.program import Program
 from repro.lang.serialize import program_digest, program_to_dict
 from repro.lang.statements import Assign
-from repro.solve import COLD, INCREMENTAL, CompiledAnalysisEngine, extension_starts
+from repro.library.objects import build_object_class
+from repro.pointsto.andersen import AndersenAnalysis
+from repro.pointsto.graph import VarNode
+from repro.solve import (
+    COLD,
+    INCREMENTAL,
+    BitsetCFLSolver,
+    CompiledAnalysisEngine,
+    extension_starts,
+)
 
 ALL_FAMILIES = tuple(sorted(FAMILIES))
 
@@ -31,13 +42,11 @@ def _analyzer(request, pipeline):
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_compiled_flows_bit_identical_to_reference(request, pipeline, family):
     analyzer = _analyzer(request, pipeline)
-    compiled = analyzer.with_solver("compiled")
     for seed in (2018, 2019):
         scenario = generate_scenario(f"{family}-{seed}", family, seed)
-        reference_report = analyzer.analyze_program(scenario.program, scenario.name)
-        compiled_report = compiled.analyze_program(scenario.program, scenario.name)
-        assert compiled_report.canonical() == reference_report.canonical()
-        assert compiled_report.timing.solve_outcome in (COLD, INCREMENTAL)
+        report = analyzer.analyze_program(scenario.program, scenario.name)
+        assert report.flows == reference_flows(analyzer, scenario.program)
+        assert report.timing.solve_outcome in (COLD, INCREMENTAL)
 
 
 # ---------------------------------------------------------------- incremental
@@ -58,28 +67,25 @@ def _grow_program(program: Program, rng: random.Random) -> Program:
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES[:4])
-def test_incremental_resolve_equals_cold_solve(request, family):
-    analyzer = _analyzer(request, "ground_truth_analyzer")
+def test_incremental_resolve_equals_cold_solve(fresh_ground_truth_analyzer, family):
     rng = random.Random(sum(map(ord, family)))
     scenario = generate_scenario(f"{family}-grow", family, 2018)
     grown = _grow_program(scenario.program, rng)
 
-    warm = analyzer.with_solver("compiled")
+    warm = fresh_ground_truth_analyzer()
     first = warm.analyze_program(scenario.program, scenario.name)
     assert first.timing.solve_outcome == COLD
     incremental = warm.analyze_program(grown, scenario.name + "-grown")
     assert incremental.timing.solve_outcome == INCREMENTAL
 
-    cold = analyzer.with_solver("compiled").analyze_program(grown, scenario.name + "-grown")
+    cold = fresh_ground_truth_analyzer().analyze_program(grown, scenario.name + "-grown")
     assert cold.timing.solve_outcome == COLD
-    reference = analyzer.analyze_program(grown, scenario.name + "-grown")
     assert incremental.canonical()["flows"] == cold.canonical()["flows"]
-    assert incremental.canonical()["flows"] == reference.canonical()["flows"]
+    assert incremental.flows == reference_flows(warm, grown)
 
 
-def test_ineligible_edit_falls_back_to_cold(request):
-    analyzer = _analyzer(request, "ground_truth_analyzer")
-    warm = analyzer.with_solver("compiled")
+def test_ineligible_edit_falls_back_to_cold(fresh_ground_truth_analyzer):
+    warm = fresh_ground_truth_analyzer()
     scenario = generate_scenario("edit-cold", "alias-chains", 2018)
     warm.analyze_program(scenario.program, scenario.name)
 
@@ -93,8 +99,7 @@ def test_ineligible_edit_falls_back_to_cold(request):
                 edited.replace_class(cls.with_method(dataclasses.replace(method, body=body)))
                 report = warm.analyze_program(edited, "edited")
                 assert report.timing.solve_outcome == COLD
-                reference = analyzer.analyze_program(edited, "edited")
-                assert report.canonical()["flows"] == reference.canonical()["flows"]
+                assert report.flows == reference_flows(warm, edited)
                 return
     pytest.fail("no editable method found")
 
@@ -133,3 +138,56 @@ def test_dangling_base_reference_defined_by_client_goes_full(
     assert result.graph.program is merged
     # the guard itself: client names never intersect the dangling set here
     assert not ({cls.name for cls in client} & dangling)
+
+
+def _ghost_programs():
+    """A base whose factory allocates a class only a client defines.
+
+    The static ``Factory.make`` does ``g = new Ghost(); return g``; the base
+    has no ``Ghost``, so extracting it alone links no constructor.  The
+    client's ``Ghost`` constructor stores a fresh ``Object`` in ``f``, and
+    ``Main.main`` loads it back through the factory's object: ``x = g.f``.
+    """
+    factory = ClassBuilder("Factory")
+    factory.add_method(
+        factory.method("make", return_type="Ghost", is_static=True)
+        .new("g", "Ghost")
+        .ret("g")
+    )
+    base = Program([build_object_class(), factory.build()])
+
+    ghost = ClassBuilder("Ghost")
+    ghost.field("f")
+    ghost.add_method(ghost.constructor().new("o", "Object").store("this", "f", "o"))
+    main = ClassBuilder("Main")
+    main.add_method(
+        main.method("main", is_static=True)
+        .call("g", None, "Factory.make")
+        .load("x", "g", "f")
+    )
+    client = Program([ghost.build(), main.build()])
+    return base, client
+
+
+def test_client_defining_a_dangling_base_name_solves_from_scratch(monkeypatch):
+    base, client = _ghost_programs()
+    engine = CompiledAnalysisEngine(base)
+    assert "Ghost" in engine._dangling_names
+
+    forks = []
+    fork = BitsetCFLSolver.fork
+
+    def counting_fork(solver):
+        forks.append(solver)
+        return fork(solver)
+
+    monkeypatch.setattr(BitsetCFLSolver, "fork", counting_fork)
+    merged = client.merged_with(base)
+    result, outcome = engine.analyze(client, merged, program_digest(client))
+    assert outcome == COLD
+    assert forks == []  # an empty solver, not the forked base
+
+    x = VarNode("Main", "main", "x")
+    expected = AndersenAnalysis(merged).run().points_to(x)
+    assert expected  # the flow a forked base would miss
+    assert result.points_to(x) == expected

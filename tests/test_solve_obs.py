@@ -10,7 +10,7 @@ from repro.obs.report import render_summary, summarize
 from repro.solve import CompiledAnalysisEngine
 
 
-def solve_entry(outcome, span_id, elapsed, engine="compiled"):
+def solve_entry(outcome, span_id, elapsed):
     return JournalEntry(
         ts=100.0,
         trace_id="aaaa000011112222",
@@ -21,7 +21,7 @@ def solve_entry(outcome, span_id, elapsed, engine="compiled"):
             "name": "analysis.solve",
             "started_at": 100.0 - elapsed,
             "elapsed_seconds": elapsed,
-            "attrs": [["engine", engine], ["outcome", outcome]],
+            "attrs": [["outcome", outcome]],
         },
     )
 
@@ -65,7 +65,7 @@ def test_render_summary_prints_solver_section_only_when_present():
 
 def test_spans_without_outcome_attr_do_not_count_as_solves():
     entry = solve_entry("cold", "s9", 0.1)
-    entry.data["attrs"] = [["engine", "compiled"]]
+    entry.data["attrs"] = []
     summary = summarize([entry])
     assert summary["solver"]["total"] == 0
     # the span still shows up in the latency table
@@ -81,26 +81,29 @@ def solve_span_attributes(analyzer, program, name):
     return solve.attributes()
 
 
-def test_solve_span_reports_dispatch_rounds_and_cap(ground_truth_analyzer):
+def test_solve_span_reports_dispatch_rounds_and_cap(fresh_ground_truth_analyzer):
     # alias chains reach the library through instance calls, so their client
     # needs a dispatch round after the one that resolves those calls
     scenario = generate_scenario("alias-chains-obs", "alias-chains", 2018)
-    analyzer = ground_truth_analyzer.with_solver("compiled")
+    analyzer = fresh_ground_truth_analyzer()
     attrs = solve_span_attributes(analyzer, scenario.program, scenario.name)
     assert attrs["outcome"] == "cold"
     assert int(attrs["dispatch_rounds"]) >= 2
     assert attrs["dispatch_capped"] == "False"
 
-    capped = ground_truth_analyzer.with_solver("compiled")
+    capped = fresh_ground_truth_analyzer()
     capped._engine = CompiledAnalysisEngine(capped.base_program, max_dispatch_rounds=1)
     attrs = solve_span_attributes(capped, scenario.program, scenario.name)
     assert attrs["dispatch_rounds"] == "1"
     assert attrs["dispatch_capped"] == "True"
 
 
-def test_cache_hits_carry_no_dispatch_attributes(ground_truth_analyzer, tmp_path):
+def test_cache_hits_carry_no_dispatch_attributes(
+    fresh_ground_truth_analyzer, tmp_path, monkeypatch
+):
     scenario = generate_scenario("alias-chains-hit", "alias-chains", 2019)
-    analyzer = ground_truth_analyzer.with_solver("compiled", analysis_cache_dir=str(tmp_path))
+    monkeypatch.setenv("REPRO_ANALYSIS_CACHE", str(tmp_path))
+    analyzer = fresh_ground_truth_analyzer()
     solve_span_attributes(analyzer, scenario.program, scenario.name)
     attrs = solve_span_attributes(analyzer, scenario.program, scenario.name)
     assert attrs["outcome"] == "hit"
