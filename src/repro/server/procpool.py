@@ -21,10 +21,11 @@ Design points worth knowing before reading the code:
   append-only index; a newer latest spec moves the dispatch target, workers
   compile it lazily on their next job, and in-flight requests finish on the
   spec they were dispatched under.
-* **Spec-id routing.**  Requests pinned to an explicit spec id are sharded
-  onto a stable worker (hash of the id), so a pinned minority reuses one
-  process's compiled-analyzer cache instead of forcing every process to
-  compile every historical version.  Unpinned requests go to the worker with
+* **Spec-id routing.**  Requests pinned to a spec id other than the
+  dispatch target are sharded onto a stable worker (hash of the id), so a
+  pinned minority reuses one process's compiled-analyzer cache instead of
+  forcing every process to compile every historical version.  Unpinned
+  requests, and requests pinned to the target itself, go to the worker with
   the fewest outstanding jobs.
 * **Dead workers.**  A monitor thread watches every worker's
   ``Process.sentinel``.  A worker that exits unasked leaves routing, each
@@ -555,9 +556,15 @@ class ProcessWorkerPool:
         return int(worker.rsplit("-", 1)[1]), message
 
     def _route(self, request: AnalyzeRequest) -> str:
-        """Pick a live worker: stable shard for pinned ids, least-loaded otherwise."""
+        """Pick a live worker: a stable shard for an id pinned to any spec
+        but the dispatch target, least-loaded otherwise.
+
+        A pin to the dispatch target routes like an unpinned request: every
+        worker compiles that spec, so hashing it would only pile the load
+        onto one process.
+        """
         names = sorted(self._outstanding)
-        if request.spec_id is not None:
+        if request.spec_id not in (None, self._target_spec_id):
             digest = hashlib.sha256(request.spec_id.encode("utf-8")).hexdigest()
             return names[int(digest, 16) % len(names)]
         return min(names, key=lambda name: (self._outstanding[name], name))

@@ -43,12 +43,19 @@ Two things the reference solver does not offer:
   once the missing side gets one), else the rows of the smaller side.  A
   unary ``A -> B`` re-enqueues the rows of ``B``.  No derivation is missed
   whatever the interleaving of productions and edges.
-* :meth:`fork` -- a copy of the entire solver state in one dict copy per
-  relation.  The production indexes are copy-on-write (:meth:`add_productions`
-  replaces their inner tuples and dicts rather than mutating them), so a
-  fork shares them.  The serving engine solves the invariant base program
-  once, then forks the solved state per request (and forks cached
-  per-program fixpoints for incremental re-solve) instead of re-deriving it.
+* :meth:`fork` -- an independent solver that shares the solved rows.  Rows
+  are copy-on-write per relation: a solver owns the relations it has
+  written since it was created or last forked, a fork clears ownership on
+  both sides, and :meth:`_push` copies a relation's ``out`` and ``in`` rows
+  on the first write to one it does not own.  So a fork costs the node
+  tables and one pointer per relation, and a solve after it copies only
+  the relations it writes.  The production indexes are copy-on-write too
+  (:meth:`add_productions` replaces their inner tuples and dicts rather
+  than mutating them).  The serving engine solves the invariant base
+  program once, then forks the solved state per request (and forks cached
+  per-program fixpoints for incremental re-solve) instead of re-deriving
+  it; every such snapshot shares the relations it never wrote with the
+  base.
 
 Because the closure is a least fixpoint, the iteration order cannot change
 the result -- which is what makes the bit-identical-flows guarantee against
@@ -58,6 +65,7 @@ the reference solver checkable rather than aspirational.
 from __future__ import annotations
 
 from collections import deque
+from types import MappingProxyType
 from typing import (
     Dict,
     FrozenSet,
@@ -65,6 +73,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -76,6 +85,9 @@ from repro.pointsto.labels import Symbol, is_barred, mirror
 
 #: a production index entry: (mask of partner symbol ids, partner -> LHS ids)
 _Join = Tuple[int, Dict[int, Tuple[int, ...]]]
+
+#: the rows of a relation with no edge yet (read-only: a write copies it)
+_NO_ROWS: Mapping[int, int] = MappingProxyType({})
 
 
 def _index_join(index: Dict[int, _Join], symbol: int, partner: int, produced: int) -> bool:
@@ -119,6 +131,9 @@ class BitsetCFLSolver:
         self._out: Dict[int, Dict[int, int]] = {}
         #: symbol id -> {target id: mask of source ids}
         self._in: Dict[int, Dict[int, int]] = {}
+        #: mask of the symbol ids whose rows this solver may write in place;
+        #: the others' may be shared with forks (see fork and _push)
+        self._owned = 0
         #: node id -> mask of the symbol ids with an edge out of / into it
         self._out_symbols: List[int] = []
         self._in_symbols: List[int] = []
@@ -449,11 +464,15 @@ class BitsetCFLSolver:
 
     # ------------------------------------------------------------------ forking
     def fork(self) -> "BitsetCFLSolver":
-        """An independent copy of the full solver state.
+        """An independent solver starting from this one's state.
 
-        Rows are masks (immutable ints), so the copy is one dict copy per
-        relation -- the cheap operation the per-request engine leans on.  The
+        The clone shares every relation's rows with this solver: it copies
+        only the outer ``out``/``in`` dicts, and both solvers give up
+        ownership of every relation, so whichever writes a relation first
+        copies its rows (:meth:`_push`) and neither ever sees the other's
+        edges.  Node tables, edge counts and the worklist are copied; the
         production indexes are copy-on-write and shared by a shallow copy.
+        This is the cheap operation the per-request engine leans on.
         """
         clone = self.__class__.__new__(self.__class__)
         clone._symbol_ids = dict(self._symbol_ids)
@@ -461,8 +480,9 @@ class BitsetCFLSolver:
         clone._mirrored = self._mirrored
         clone._node_ids = dict(self._node_ids)
         clone._nodes = list(self._nodes)
-        clone._out = {key: dict(row) for key, row in self._out.items()}
-        clone._in = {key: dict(row) for key, row in self._in.items()}
+        clone._out = dict(self._out)
+        clone._in = dict(self._in)
+        clone._owned = self._owned = 0
         clone._out_symbols = list(self._out_symbols)
         clone._in_symbols = list(self._in_symbols)
         clone._edge_counts = dict(self._edge_counts)
@@ -485,17 +505,29 @@ class BitsetCFLSolver:
             mask ^= low
 
     def _push(self, source: int, symbol: int, mask: int) -> int:
-        """Merge *mask* into ``out[symbol][source]``; returns how many bits were new."""
-        row = self._out.setdefault(symbol, {})
+        """Merge *mask* into ``out[symbol][source]``; returns how many bits were new.
+
+        The one place rows are written.  The first write to a relation this
+        solver does not own copies its ``out`` and ``in`` rows, which may be
+        shared with a parent or a fork, and takes ownership.  The copies
+        replace entries of the outer dicts, never the dicts themselves, so
+        the references :meth:`solve` holds stay valid.
+        """
+        row = self._out.get(symbol, _NO_ROWS)
         have = row.get(source, 0)
         new = mask & ~have
         if not new:
             return 0
-        row[source] = have | new
         symbol_bit = 1 << symbol
+        if self._owned & symbol_bit:
+            in_rows = self._in[symbol]
+        else:
+            self._owned |= symbol_bit
+            row = self._out[symbol] = dict(row)
+            in_rows = self._in[symbol] = dict(self._in.get(symbol, _NO_ROWS))
+        row[source] = have | new
         if not have:
             self._out_symbols[source] |= symbol_bit
-        in_rows = self._in.setdefault(symbol, {})
         in_symbols = self._in_symbols
         bit = 1 << source
         remaining = new

@@ -75,7 +75,12 @@ class GraphView:
 
 
 class _Snapshot:
-    """One solved fixpoint, reusable as the starting point of a later solve."""
+    """One solved fixpoint, reusable as the starting point of a later solve.
+
+    Nothing writes its solver again: a later solve works on a fork, which
+    shares every relation it does not write (copy-on-write rows), so the
+    base and the pooled snapshots hold one copy of each unwritten relation.
+    """
 
     __slots__ = ("solver", "nodes", "call_sites", "resolved", "client_doc")
 

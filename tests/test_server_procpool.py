@@ -13,10 +13,11 @@ import threading
 import pytest
 
 from repro.engine.events import CollectingSink, SpecCompiled, SpecReloaded
+from repro.obs.trace import SpanFinished, TraceContext, new_id
 from repro.server.procpool import PoolSaturated, ProcessWorkerPool, WorkerLost
 from repro.service.api import AnalyzeRequest, SuiteSpec, handle_request
 from repro.service.store import SpecNotFoundError, SpecStore
-from repro.testing import freeze_workers
+from repro.testing import freeze_workers, thaw_workers
 
 
 def _request(**overrides):
@@ -157,6 +158,42 @@ def test_pinned_requests_are_served_under_their_spec(
         unpinned = pool.submit(_request()).result(timeout=120)
     assert pinned.spec_id == old_spec_id
     assert unpinned.spec_id == record.spec_id
+
+
+def test_a_pin_to_the_served_spec_routes_like_an_unpinned_request(
+    tiny_store, tiny_atlas_result, library_program
+):
+    old_spec_id = tiny_store.latest().spec_id
+    record = tiny_store.put(tiny_atlas_result, library_program=library_program)
+    sink = CollectingSink()
+    pool = ProcessWorkerPool(
+        tiny_store, processes=2, events=sink, library_program=library_program
+    )
+
+    def workers(spec_id):
+        """The workers that two concurrent requests pinned to *spec_id* land on."""
+        contexts = [TraceContext(trace_id=new_id(), span_id=new_id()) for _ in range(2)]
+        frozen = freeze_workers(pool)  # both are routed before either finishes
+        futures = [
+            pool.submit(_request(spec_id=spec_id), context=context) for context in contexts
+        ]
+        thaw_workers(frozen)
+        for future in futures:
+            assert future.result(timeout=120).spec_id == spec_id
+        waits = {
+            span.trace_id: span.attributes()["worker"]
+            for span in sink.of_type(SpanFinished)
+            if span.name == "server.queue_wait"
+        }
+        return [waits[context.trace_id] for context in contexts]
+
+    with pool:
+        assert pool.current_spec_id == record.spec_id
+        # the served id: least-loaded, like an unpinned request
+        assert sorted(workers(record.spec_id)) == ["proc-0", "proc-1"]
+        # an older id still hashes to one stable worker
+        first, second = workers(old_spec_id)
+        assert first == second
 
 
 def test_unknown_pinned_spec_maps_to_spec_not_found(tiny_store, library_program):

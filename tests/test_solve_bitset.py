@@ -193,6 +193,69 @@ def test_fork_isolates_parent_from_child():
     assert child.has_edge(2, C, 6)
 
 
+def _dump(solver, symbols):
+    """Every relation of *solver* over *symbols*, read from both indexes."""
+    nodes = sorted(solver.nodes())
+    return solver.total_edges, {
+        symbol: (
+            solver.edge_count(symbol),
+            sorted(solver.edges(symbol)),
+            {node: solver.predecessors(node, symbol) for node in nodes},
+        )
+        for symbol in symbols
+    }
+
+
+def _reference_dump(grammar, edges, symbols):
+    reference = CFLSolver(grammar, nullable=())
+    for edge in edges:
+        reference.add_edge(*edge)
+    reference.solve()
+    return _dump(reference, symbols)
+
+
+def test_fork_isolation_holds_in_both_directions():
+    """Parent, child and sibling write the same relations and never see each other's rows."""
+    grammar = [Production(S, (A,)), Production(D, (S, B))]
+    symbols = (A, B, S, D)
+    shared = [(1, A, 2), (2, B, 3)]
+    parent = BitsetCFLSolver(grammar, nullable=())
+    for edge in shared:
+        parent.add_edge(*edge)
+    parent.solve()
+    forked = _dump(parent, symbols)
+    child = parent.fork()
+    sibling = parent.fork()
+
+    # the child writes rows into every relation the parent holds rows in
+    child_edges = [(2, A, 4), (4, B, 5), (2, B, 6)]
+    for edge in child_edges:
+        child.add_edge(*edge)
+    child.solve()
+    assert child.has_edge(2, D, 5) and child.has_edge(1, D, 6)
+    assert _dump(parent, symbols) == forked
+    assert _dump(sibling, symbols) == forked
+
+    # then the parent writes those relations too, and solves after the fork
+    parent_edges = [(3, A, 1), (1, A, 7), (7, B, 8), (2, B, 9)]
+    for edge in parent_edges:
+        parent.add_edge(*edge)
+    parent.solve()
+    assert parent.has_edge(1, D, 8) and not parent.has_edge(1, D, 6)
+    assert child.has_edge(1, D, 6) and not child.has_edge(1, D, 8)
+    assert _dump(parent, symbols) == _reference_dump(grammar, shared + parent_edges, symbols)
+    assert _dump(child, symbols) == _reference_dump(grammar, shared + child_edges, symbols)
+    assert _dump(sibling, symbols) == forked
+
+    # a relation both have copied stays private on the child's next write
+    child.add_edge(6, A, 2)
+    child.solve()
+    more = shared + child_edges + [(6, A, 2)]
+    assert _dump(child, symbols) == _reference_dump(grammar, more, symbols)
+    assert _dump(parent, symbols) == _reference_dump(grammar, shared + parent_edges, symbols)
+    assert _dump(sibling, symbols) == forked
+
+
 # --------------------------------------------------------------------- parity
 def test_randomized_parity_with_reference_solver():
     """Random Cpt-grammar edge soups solve bit-identically to CFLSolver."""

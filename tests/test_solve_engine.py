@@ -20,6 +20,7 @@ from repro.lang.statements import Assign
 from repro.library.objects import build_object_class
 from repro.pointsto.andersen import AndersenAnalysis
 from repro.pointsto.graph import VarNode
+from repro.pointsto.labels import mirror
 from repro.solve import (
     COLD,
     INCREMENTAL,
@@ -102,6 +103,38 @@ def test_ineligible_edit_falls_back_to_cold(fresh_ground_truth_analyzer):
                 assert report.flows == reference_flows(warm, edited)
                 return
     pytest.fail("no editable method found")
+
+
+# ------------------------------------------------------------------ snapshots
+def _dump(solver):
+    """Every stored relation of *solver*, from both indexes, with the edge counts."""
+    relations = {}
+    for symbol in solver._symbols:
+        for side in (symbol, mirror(symbol)):
+            relations[side] = (solver.edge_count(side), frozenset(solver.edges(side)))
+    return solver.total_edges, relations
+
+
+def test_stored_snapshots_never_change(fresh_ground_truth_analyzer):
+    """Forks share the rows they never write: no later solve may change a stored one."""
+    analyzer = fresh_ground_truth_analyzer()
+    engine = analyzer._compiled_engine()
+    dumps = {id(engine._base): (engine._base, _dump(engine._base.solver))}
+    rng = random.Random(16)
+    outcomes = []
+    for family in ALL_FAMILIES[:3]:
+        scenario = generate_scenario(f"{family}-stored", family, 2018)
+        program = scenario.program
+        for step in range(3):
+            report = analyzer.analyze_program(program, f"{scenario.name}-{step}")
+            outcomes.append(report.timing.solve_outcome)
+            for snapshot in engine._snapshots.values():
+                dumps.setdefault(id(snapshot), (snapshot, _dump(snapshot.solver)))
+            program = _grow_program(program, rng)
+    assert outcomes == [COLD, INCREMENTAL, INCREMENTAL] * 3
+    assert len(dumps) == 1 + len(outcomes)
+    for snapshot, dump in dumps.values():
+        assert _dump(snapshot.solver) == dump
 
 
 # ------------------------------------------------------------ extension_starts
