@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.lang.program import ClassDef, Field, MethodDef, Parameter, Program
 from repro.lang.statements import Assign, Call, Const, Load, New, Return, Statement, Store
@@ -122,9 +122,15 @@ def program_from_dict(data: Dict) -> Program:
     return Program(class_from_dict(entry) for entry in data["classes"])
 
 
-def program_digest(program: Program) -> str:
-    """A stable SHA-256 fingerprint of the program's canonical encoding."""
-    encoded = json.dumps(program_to_dict(program), sort_keys=True, separators=(",", ":"))
+def program_digest(program: Program, document: Optional[Dict] = None) -> str:
+    """A stable SHA-256 fingerprint of the program's canonical encoding.
+
+    *document* is that encoding, :func:`program_to_dict` of *program*, when
+    the caller has built it already.
+    """
+    if document is None:
+        document = program_to_dict(program)
+    encoded = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 

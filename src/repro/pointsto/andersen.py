@@ -18,7 +18,7 @@ engine of :mod:`repro.solve.engine` (over a forked
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lang.program import MethodRef, Program
 from repro.pointsto.cfl import CFLSolver
@@ -61,20 +61,36 @@ def dispatch_to_fixpoint(
 
     *resolved* holds the ``(call-site index, callee)`` pairs already linked
     and grows in place.  Returns the rounds run and whether *max_rounds*
-    ended a round that still added call edges.
+    ended a round that still added call edges.  Points-to sets only grow, so
+    a round looks only at the receiver objects new to each site since the
+    previous round, and each ``(allocated class, method name)`` is resolved
+    once per call.
     """
+    scanned: List[Set[object]] = [set() for _ in call_sites]
+    callees: Dict[Tuple[str, str], Optional[MethodRef]] = {}
     rounds = 0
     while True:
         solver.solve()
         rounds += 1
         added = False
         for site_index, site in enumerate(call_sites):
-            for obj in solver.predecessors(site.receiver, FLOWS_TO):
+            objects = solver.predecessors(site.receiver, FLOWS_TO)
+            fresh = objects - scanned[site_index]
+            if not fresh:
+                continue
+            scanned[site_index] = objects
+            for obj in fresh:
                 if not isinstance(obj, ObjNode):
                     continue
-                if not program.has_class(obj.allocated_class):
-                    continue
-                callee_ref = program.resolve_method(obj.allocated_class, site.method_name)
+                signature = (obj.allocated_class, site.method_name)
+                if signature in callees:
+                    callee_ref = callees[signature]
+                else:
+                    callee_ref = callees[signature] = (
+                        program.resolve_method(*signature)
+                        if program.has_class(obj.allocated_class)
+                        else None
+                    )
                 if callee_ref is None:
                     continue
                 key = (site_index, callee_ref)

@@ -79,6 +79,15 @@ TRANSFER_BAR = Symbol("TransferBar")
 FLOWS_TO = Symbol("FlowsTo")
 FLOWS_TO_BAR = Symbol("FlowsToBar")
 
+
+def heap(field: str) -> Symbol:
+    """``Heap[f]``: the heap step ``x --Heap[f]--> y``.
+
+    ``x`` is stored into field f of some object, and ``y`` is loaded from it.
+    """
+    return Symbol("Heap", field)
+
+
 TERMINAL_NAMES = frozenset(_BAR_PAIRS)
 
 

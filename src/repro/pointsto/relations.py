@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.lang.program import Program
 from repro.pointsto.cfl import CFLSolver
 from repro.pointsto.graph import ObjNode, PointsToGraph, VarNode
-from repro.pointsto.labels import FLOWS_TO, TRANSFER, TRANSFER_BAR
+from repro.pointsto.labels import ASSIGN, FLOWS_TO, Symbol, heap
 
 
 class PointsToResult:
@@ -16,13 +16,17 @@ class PointsToResult:
 
     The metrics of Section 6 only consider relations between *program*
     variables (variables of non-library classes); the ``program_*`` helpers
-    apply that restriction.
+    apply that restriction.  The *solver* holds a completed closure: nothing
+    adds edges to it once the result is built.
     """
 
     def __init__(self, program: Program, graph: PointsToGraph, solver: CFLSolver):
         self.program = program
         self.graph = graph
         self.solver = solver
+        #: the solver's nodes and the non-empty relations of ``Transfer``'s
+        #: steps, built on the first ``Transfer`` query
+        self._transfer_steps: Optional[Tuple[FrozenSet[object], Tuple[Symbol, ...]]] = None
 
     # ------------------------------------------------------------------ raw queries
     def points_to(self, variable: VarNode) -> Set[ObjNode]:
@@ -57,19 +61,50 @@ class PointsToResult:
         )
 
     def transfer(self, source: VarNode, target: VarNode) -> bool:
-        """Whether *source* may be (indirectly) assigned to *target*."""
-        return self.solver.has_edge(source, TRANSFER, target)
+        """Whether *source* may be (indirectly) assigned to *target*.
+
+        The paper's ``Transfer = (Assign | Heap[f])*``, reflexive on every
+        node of the solver.  Every ``Transfer`` query answers by a search
+        over the stored ``Assign`` and ``Heap[f]`` rows
+        (:meth:`_transfer_reach`), so it needs no ``Transfer`` relation:
+        the engine's ``FlowsTo``-only grammar derives none.
+        """
+        return target in self._transfer_reach(source)
 
     def transfer_bar(self, source: VarNode, target: VarNode) -> bool:
-        return self.solver.has_edge(source, TRANSFER_BAR, target)
+        """``TransferBar``: ``Transfer`` transposed."""
+        return self.transfer(target, source)
 
     def transfer_targets(self, source: VarNode) -> Set[VarNode]:
         """All variables *source* may transfer to."""
-        return {
-            node
-            for node in self.solver.successors(source, TRANSFER)
-            if isinstance(node, VarNode)
-        }
+        return {node for node in self._transfer_reach(source) if isinstance(node, VarNode)}
+
+    def _transfer_reach(self, source: object) -> Set[object]:
+        """Every node *source* transfers to, itself included (none if unknown).
+
+        A depth-first search whose steps are the solver's ``Assign`` and
+        ``Heap[f]`` edges, ``f`` ranging over the graph's fields.  Only
+        queries call it; the serving path never does.
+        """
+        if self._transfer_steps is None:
+            steps = [ASSIGN] + [heap(field_name) for field_name in sorted(self.graph.fields)]
+            self._transfer_steps = (
+                frozenset(self.solver.nodes()),
+                tuple(symbol for symbol in steps if self.solver.edge_count(symbol)),
+            )
+        nodes, steps = self._transfer_steps
+        if source not in nodes:
+            return set()
+        reach = {source}
+        frontier = [source]
+        while frontier:
+            node = frontier.pop()
+            for symbol in steps:
+                for successor in self.solver.reachable(node, symbol):
+                    if successor not in reach:
+                        reach.add(successor)
+                        frontier.append(successor)
+        return reach
 
     # ------------------------------------------------------------------ edge sets
     def points_to_edges(self) -> Set[Tuple[VarNode, ObjNode]]:

@@ -29,7 +29,7 @@ from repro.benchgen.generator import GeneratedApp
 from repro.client.sources_sinks import build_framework_program
 from repro.client.taint import Flow, InformationFlowAnalysis
 from repro.lang.program import Program
-from repro.lang.serialize import program_digest
+from repro.lang.serialize import program_digest, program_to_dict
 from repro.library.registry import build_interface, build_library_program, core_program
 from repro.obs import trace as _trace
 
@@ -267,14 +267,16 @@ class ClientAnalyzer:
         with _trace.span("analysis.analyze", program=name):
             started = time.perf_counter()
             merged = program.merged_with(self.base_program)
-            digest = program_digest(program)
+            # encoded once: the digest and the engine's snapshot pool share it
+            document = program_to_dict(program)
+            digest = program_digest(program, document)
             cache = self._analysis_cache() if points_to_observer is None else None
             with _trace.span("analysis.solve", program=name) as solve_span:
                 solve_started = time.perf_counter()
                 cached = cache.get(digest) if cache is not None else None
                 if cached is None:
                     engine = self._compiled_engine()
-                    points_to, outcome = engine.analyze(program, merged, digest)
+                    points_to, outcome = engine.analyze(program, merged, document, digest)
                     solve_span.set("dispatch_rounds", engine.dispatch_rounds)
                     solve_span.set("dispatch_capped", engine.dispatch_capped)
                     if points_to_observer is not None:

@@ -11,15 +11,16 @@ dependency-free and picklable.
 
 The worklist carries ``(source, symbol, delta_mask)`` triples: one entry may
 represent many edges, and rule application combines masks in bulk.  Joins
-are paid only where they happen.  The ``Cpt`` grammar instantiated over many
-fields gives a symbol one partner relation per field (``Transfer`` is the
-first symbol of ``Transfer -> Transfer Heap[f]`` for every ``f``), of which a
-node typically touches one or two.  So every node carries a mask of the
-symbol ids with an edge out of it and one of the symbol ids with an edge
-into it, every symbol a mask of its production partners, and a popped delta
-joins only with the partners in their intersection: ``out_symbols[target] &
-partners`` per target bit for ``A -> symbol C``, ``in_symbols[source] &
-partners`` for ``A -> B symbol``.
+are paid only where they happen.  A points-to grammar instantiated over many
+fields gives a symbol one partner relation per field (``FlowsTo`` is the
+first symbol of ``FlowsTo -> FlowsTo Heap[f]`` and ``LoadFrom[f] -> FlowsTo
+Load[f]`` for every ``f`` in the engine's grammar, ``Transfer`` of ``Transfer
+-> Transfer Heap[f]`` in the paper's), of which a node typically touches one
+or two.  So every node carries a mask of the symbol ids with an edge out of
+it and one of the symbol ids with an edge into it, every symbol a mask of
+its production partners, and a popped delta joins only with the partners in
+their intersection: ``out_symbols[target] & partners`` per target bit for
+``A -> symbol C``, ``in_symbols[source] & partners`` for ``A -> B symbol``.
 
 Each mirror pair is stored once.  ``add_edge`` records every edge whose
 symbol has a :func:`~repro.pointsto.labels.mirror` together with its barred
@@ -111,7 +112,10 @@ class BitsetCFLSolver:
     ``add_edge``, ``solve``, and every query), so
     :class:`~repro.pointsto.relations.PointsToResult` and the taint client
     run unchanged on top of it.  The answers match the reference's on any
-    grammar closed under mirroring, as ``build_cpt_grammar``'s is.
+    grammar closed under mirroring, as ``build_cpt_grammar``'s and
+    ``build_flows_to_grammar``'s are.  *nullable* defaults to the former's
+    :data:`~repro.pointsto.grammar.NULLABLE`; the latter has none
+    (``nullable=()``), so interning a node then seeds no self-loop.
     """
 
     def __init__(

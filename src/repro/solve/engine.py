@@ -30,6 +30,17 @@ All three are one solve path, ``_solve(start, program, only)``: extract the
 empty solver) and run the dispatch loop the reference runs too,
 :func:`repro.pointsto.andersen.dispatch_to_fixpoint`.
 
+The engine's grammar is :func:`~repro.pointsto.grammar.build_flows_to_grammar`
+with nothing nullable: the taint client reads only ``FlowsTo``, so the
+engine derives ``FlowsTo`` directly and never the all-pairs ``Transfer``
+closure the paper's nullable ``Transfer`` seeds (a self-loop on every
+node).  Its ``FlowsTo``, ``StoreInto[f]``, ``LoadFrom[f]`` and ``Heap[f]``
+are the paper's grammar's, and ``Transfer`` queries on its results answer
+from the stored ``Assign`` and ``Heap[f]`` rows
+(:meth:`~repro.pointsto.relations.PointsToResult.transfer`).  The reference
+oracle keeps the paper's grammar, which is what makes it an independent
+check of this one.
+
 Soundness guardrails: extraction of the base against the base program alone
 is only equivalent to extraction against the merged program if no base
 statement resolves differently once client classes join.  Base classes
@@ -46,10 +57,9 @@ from collections import OrderedDict
 from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.lang.program import MethodRef, Program
-from repro.lang.serialize import program_to_dict
 from repro.lang.statements import Call, New
 from repro.pointsto.andersen import dispatch_to_fixpoint
-from repro.pointsto.grammar import build_cpt_grammar
+from repro.pointsto.grammar import build_flows_to_grammar
 from repro.pointsto.graph import CallSite, PointsToGraph
 from repro.pointsto.relations import PointsToResult
 from repro.solve.bitset import BitsetCFLSolver
@@ -64,14 +74,15 @@ class GraphView:
     """The slice of :class:`PointsToGraph` downstream consumers actually use.
 
     :class:`~repro.pointsto.relations.PointsToResult` and the taint client
-    only read ``.nodes`` (and ``.program``); the engine assembles those from
-    its base snapshot plus the client extraction instead of carrying a full
-    re-extracted graph.
+    only read ``.nodes``, ``.fields`` and ``.program``; the engine assembles
+    those from its base snapshot plus the client extraction instead of
+    carrying a full re-extracted graph.
     """
 
-    def __init__(self, program: Program, nodes: FrozenSet[object]):
+    def __init__(self, program: Program, nodes: FrozenSet[object], fields: FrozenSet[str]):
         self.program = program
         self.nodes = nodes
+        self.fields = fields
 
 
 class _Snapshot:
@@ -82,18 +93,20 @@ class _Snapshot:
     base and the pooled snapshots hold one copy of each unwritten relation.
     """
 
-    __slots__ = ("solver", "nodes", "call_sites", "resolved", "client_doc")
+    __slots__ = ("solver", "nodes", "fields", "call_sites", "resolved", "client_doc")
 
     def __init__(
         self,
         solver: BitsetCFLSolver,
         nodes: FrozenSet[object],
+        fields: FrozenSet[str],
         call_sites: Tuple[CallSite, ...],
         resolved: FrozenSet[Tuple[int, MethodRef]],
         client_doc: Optional[Dict],
     ):
         self.solver = solver
         self.nodes = nodes
+        self.fields = fields
         self.call_sites = call_sites
         self.resolved = resolved
         self.client_doc = client_doc
@@ -146,18 +159,18 @@ class CompiledAnalysisEngine:
 
     # ---------------------------------------------------------------- queries
     def analyze(
-        self, client_program: Program, merged: Program, digest: str
+        self, client_program: Program, merged: Program, client_doc: Dict, digest: str
     ) -> Tuple[PointsToResult, str]:
         """Solve *merged* (client + base), returning the result and how.
 
         *merged* must be ``client_program.merged_with(base_program)`` for
-        the engine's base snapshot; *digest* is the client's canonical
-        digest (the snapshot-pool key).  The outcome is ``"incremental"``
-        when a cached neighbor fixpoint was extended, else ``"cold"``.
-        :attr:`dispatch_rounds` and :attr:`dispatch_capped` then describe
-        this analysis.
+        the engine's base snapshot; *client_doc* is the client's canonical
+        encoding (:func:`~repro.lang.serialize.program_to_dict`) and
+        *digest* its digest (the snapshot-pool key).  The outcome is
+        ``"incremental"`` when a cached neighbor fixpoint was extended,
+        else ``"cold"``.  :attr:`dispatch_rounds` and
+        :attr:`dispatch_capped` then describe this analysis.
         """
-        client_doc = program_to_dict(client_program)
         for old_digest in reversed(self._snapshots):
             start = self._snapshots[old_digest]
             only = extension_starts(start.client_doc, client_doc)
@@ -203,21 +216,24 @@ class CompiledAnalysisEngine:
         :attr:`dispatch_rounds` and :attr:`dispatch_capped`.
         """
         graph = PointsToGraph(program, only=only)
-        productions = build_cpt_grammar(graph.fields)
+        productions = build_flows_to_grammar(graph.fields)
         if start is None:
-            solver = BitsetCFLSolver(productions)
+            solver = BitsetCFLSolver(productions, nullable=())
             nodes: FrozenSet[object] = frozenset()
+            fields: FrozenSet[str] = frozenset()
             call_sites: Tuple[CallSite, ...] = ()
             resolved: Set[Tuple[int, MethodRef]] = set()
         else:
             solver = start.solver.fork()
             solver.add_productions(productions)
-            nodes, call_sites, resolved = start.nodes, start.call_sites, set(start.resolved)
+            nodes, fields = start.nodes, start.fields
+            call_sites, resolved = start.call_sites, set(start.resolved)
         for node in graph.nodes:
             solver.add_node(node)
         for source, symbol, target in graph.edges:
             solver.add_edge(source, symbol, target)
         nodes |= graph.nodes
+        fields |= graph.fields
         call_sites += tuple(graph.call_sites)
         self.dispatch_rounds, self.dispatch_capped = dispatch_to_fixpoint(
             solver, program, call_sites, resolved, self.max_dispatch_rounds
@@ -225,11 +241,12 @@ class CompiledAnalysisEngine:
         snapshot = _Snapshot(
             solver=solver,
             nodes=nodes,
+            fields=fields,
             call_sites=call_sites,
             resolved=frozenset(resolved),
             client_doc=None,
         )
-        return PointsToResult(program, GraphView(program, nodes), solver), snapshot
+        return PointsToResult(program, GraphView(program, nodes, fields), solver), snapshot
 
 
 __all__ = ["COLD", "CompiledAnalysisEngine", "GraphView", "INCREMENTAL"]

@@ -87,6 +87,11 @@ def test_digest_tracks_structure():
     assert program_digest(Program([changed.build()])) != program_digest(program)
 
 
+def test_digest_of_a_built_document_is_the_programs():
+    program = _sample_program()
+    assert program_digest(program, program_to_dict(program)) == program_digest(program)
+
+
 def test_unknown_format_rejected():
     with pytest.raises(ValueError, match="unsupported program format"):
         program_from_dict({"format": "repro.lang.program/999", "classes": []})

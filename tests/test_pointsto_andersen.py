@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.diff.families import generate_scenario
 from repro.lang import ClassBuilder, Program
 from repro.pointsto import analyze
-from repro.pointsto.andersen import AndersenAnalysis
-from repro.pointsto.graph import ObjNode, VarNode
+from repro.pointsto.andersen import AndersenAnalysis, _link_call, dispatch_to_fixpoint
+from repro.pointsto.cfl import CFLSolver
+from repro.pointsto.grammar import build_cpt_grammar
+from repro.pointsto.graph import ObjNode, PointsToGraph, VarNode
+from repro.pointsto.labels import FLOWS_TO
 
 
 def _client(body_builder, name="Main"):
@@ -193,6 +197,79 @@ def test_dispatch_cap_is_reported_not_silent():
     assert full.run().aliased(var("x"), var("y"))
     assert full.stats.dispatch_rounds >= 2
     assert full.stats.dispatch_capped is False
+
+
+def _rescanning_dispatch(solver, program, call_sites, resolved, max_rounds):
+    """The dispatch loop that resolves every receiver object of every site each round."""
+    rounds = 0
+    while True:
+        solver.solve()
+        rounds += 1
+        added = False
+        for site_index, site in enumerate(call_sites):
+            for obj in solver.predecessors(site.receiver, FLOWS_TO):
+                if not isinstance(obj, ObjNode) or not program.has_class(obj.allocated_class):
+                    continue
+                callee_ref = program.resolve_method(obj.allocated_class, site.method_name)
+                if callee_ref is None or (site_index, callee_ref) in resolved:
+                    continue
+                resolved.add((site_index, callee_ref))
+                if _link_call(site, callee_ref, program, solver):
+                    added = True
+        if not added or rounds >= max_rounds:
+            return rounds, added
+
+
+def _dispatch_with(loop, program, monkeypatch):
+    """Run *loop* over *program*; its outcome, closure and ``resolve_method`` calls."""
+    graph = PointsToGraph(program)
+    solver = CFLSolver(build_cpt_grammar(graph.fields))
+    for source, symbol, target in graph.edges:
+        solver.add_edge(source, symbol, target)
+    lookups = []
+    resolve = Program.resolve_method
+
+    def counting_resolve(self, class_name, method_name):
+        lookups.append((class_name, method_name))
+        return resolve(self, class_name, method_name)
+
+    resolved = set()
+    with monkeypatch.context() as patch:
+        patch.setattr(Program, "resolve_method", counting_resolve)
+        outcome = loop(solver, program, graph.call_sites, resolved, 50)
+    return (outcome, resolved, set(solver.edges(FLOWS_TO))), lookups
+
+
+def _late_receiver_program():
+    """``c`` points to a ``B`` in the first round and, through a ``Box``, to an ``A`` later."""
+    classes = []
+    for name in ("A", "B"):
+        cls = ClassBuilder(name)
+        cls.add_method(cls.method("run", return_type="Object").new("o", "Object").ret("o"))
+        classes.append(cls.build())
+
+    def body(m):
+        m.new("a", "A").new("box", "Box").call(None, "box", "set", "a")
+        m.new("c", "B").call("d", "box", "get").assign("c", "d").call("r", "c", "run")
+
+    return Program(_box_program(_client(body)).classes() + tuple(classes))
+
+
+@pytest.mark.parametrize(
+    "family", ["late-receiver", "callback-flows", "fluent-pipelines", "taint-app"]
+)
+def test_dispatch_resolves_each_receiver_class_once(library_program, family, monkeypatch):
+    """Same rounds, links and closure as rescanning every object every round."""
+    if family == "late-receiver":
+        program = _late_receiver_program()
+    else:
+        scenario = generate_scenario(f"{family}-dispatch", family, 2018)
+        program = scenario.program.merged_with(library_program)
+    expected, rescans = _dispatch_with(_rescanning_dispatch, program, monkeypatch)
+    observed, lookups = _dispatch_with(dispatch_to_fixpoint, program, monkeypatch)
+    assert observed == expected
+    assert expected[0][0] >= 2 and expected[1]
+    assert len(lookups) == len(set(lookups)) < len(rescans)
 
 
 def test_points_to_map_and_alias_pairs():

@@ -6,6 +6,7 @@ from repro.pointsto.grammar import (
     NULLABLE,
     Production,
     build_cpt_grammar,
+    build_flows_to_grammar,
     grammar_fields,
     mirror_production,
 )
@@ -19,6 +20,7 @@ from repro.pointsto.labels import (
     Symbol,
     TRANSFER,
     TRANSFER_BAR,
+    heap,
     is_barred,
     is_terminal,
     load,
@@ -87,6 +89,31 @@ def test_grammar_contains_core_productions():
     )
     # closed under mirroring, which the bitset solver's transposition relies on
     assert all(mirror_production(p) in set(field_productions) for p in field_productions)
+
+
+def test_flows_to_grammar_differs_from_the_papers_only_in_its_heads():
+    fields = ["f", "g"]
+    papers = set(build_cpt_grammar(fields))
+    flows_to = build_flows_to_grammar(fields)
+    heads = {(p.lhs, p.rhs) for p in set(flows_to) - papers}
+    assert heads == {
+        (FLOWS_TO, (NEW,)),
+        (FLOWS_TO, (FLOWS_TO, ASSIGN)),
+        (FLOWS_TO, (FLOWS_TO, heap("f"))),
+        (FLOWS_TO, (FLOWS_TO, heap("g"))),
+        (FLOWS_TO_BAR, (NEW_BAR,)),
+        (FLOWS_TO_BAR, (ASSIGN_BAR, FLOWS_TO_BAR)),
+        (FLOWS_TO_BAR, (Symbol("HeapBar", "f"), FLOWS_TO_BAR)),
+        (FLOWS_TO_BAR, (Symbol("HeapBar", "g"), FLOWS_TO_BAR)),
+    }
+    # the heap productions are shared, and nothing mentions Transfer
+    heap_steps = {p for p in papers if TRANSFER not in p.rhs and TRANSFER_BAR not in p.rhs}
+    assert heap_steps <= set(flows_to)
+    assert not any(
+        symbol in (TRANSFER, TRANSFER_BAR) for p in flows_to for symbol in (p.lhs, *p.rhs)
+    )
+    assert all(mirror_production(p) in set(flows_to) for p in flows_to)
+    assert len(build_flows_to_grammar(["f", "f"])) == len(build_flows_to_grammar(["f"]))
 
 
 def test_grammar_instantiates_per_field():

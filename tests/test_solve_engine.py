@@ -8,6 +8,7 @@ re-solve of an edited neighbor equals a cold solve of the edited program.
 
 import dataclasses
 import random
+import sys
 
 import pytest
 
@@ -20,7 +21,7 @@ from repro.lang.statements import Assign
 from repro.library.objects import build_object_class
 from repro.pointsto.andersen import AndersenAnalysis
 from repro.pointsto.graph import VarNode
-from repro.pointsto.labels import mirror
+from repro.pointsto.labels import FLOWS_TO, TRANSFER, mirror
 from repro.solve import (
     COLD,
     INCREMENTAL,
@@ -105,6 +106,44 @@ def test_ineligible_edit_falls_back_to_cold(fresh_ground_truth_analyzer):
     pytest.fail("no editable method found")
 
 
+# ------------------------------------------------------------------- grammar
+def test_engine_derives_no_transfer(fresh_ground_truth_analyzer):
+    """The engine derives FlowsTo directly, never the all-pairs Transfer closure."""
+    analyzer = fresh_ground_truth_analyzer()
+    engine = analyzer._compiled_engine()
+    assert engine._base.solver.edge_count(FLOWS_TO) > 0
+    assert engine._base.solver.edge_count(TRANSFER) == 0
+    scenario = generate_scenario("no-transfer", "alias-chains", 2018)
+    grown = _grow_program(scenario.program, random.Random(20))
+    outcomes = []
+    for program in (scenario.program, grown):
+        report = analyzer.analyze_program(program, scenario.name)
+        outcomes.append(report.timing.solve_outcome)
+        solver = engine._snapshots[program_digest(program)].solver
+        assert solver.edge_count(FLOWS_TO) > engine._base.solver.edge_count(FLOWS_TO)
+        assert solver.edge_count(TRANSFER) == 0
+    assert outcomes == [COLD, INCREMENTAL]
+
+
+def test_a_request_encodes_its_client_once(fresh_ground_truth_analyzer, monkeypatch):
+    """The digest and the engine's snapshot pool share one canonical encoding."""
+    analyzer = fresh_ground_truth_analyzer()
+    analyzer._compiled_engine()
+    analyzer._analysis_cache()
+    encoded = []
+
+    def counting_to_dict(program):
+        encoded.append(program)
+        return program_to_dict(program)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and vars(module).get("program_to_dict") is program_to_dict:
+            monkeypatch.setattr(module, "program_to_dict", counting_to_dict)
+    scenario = generate_scenario("encode-once", "field-interleavings", 2018)
+    analyzer.analyze_program(scenario.program, scenario.name)
+    assert encoded == [scenario.program]
+
+
 # ------------------------------------------------------------------ snapshots
 def _dump(solver):
     """Every stored relation of *solver*, from both indexes, with the edge counts."""
@@ -166,7 +205,9 @@ def test_dangling_base_reference_defined_by_client_goes_full(
     dangling = engine._dangling_names
     client = generate_scenario("full", "alias-chains", 2018).program
     merged = client.merged_with(ground_truth_analyzer.base_program)
-    result, outcome = engine.analyze(client, merged, program_digest(client))
+    result, outcome = engine.analyze(
+        client, merged, program_to_dict(client), program_digest(client)
+    )
     assert outcome == COLD
     assert result.graph.program is merged
     # the guard itself: client names never intersect the dangling set here
@@ -216,7 +257,9 @@ def test_client_defining_a_dangling_base_name_solves_from_scratch(monkeypatch):
 
     monkeypatch.setattr(BitsetCFLSolver, "fork", counting_fork)
     merged = client.merged_with(base)
-    result, outcome = engine.analyze(client, merged, program_digest(client))
+    result, outcome = engine.analyze(
+        client, merged, program_to_dict(client), program_digest(client)
+    )
     assert outcome == COLD
     assert forks == []  # an empty solver, not the forked base
 
