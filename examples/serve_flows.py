@@ -3,8 +3,8 @@
 The full serving path of ``repro.service``: learn points-to specifications
 *once* into a versioned :class:`SpecStore` (a re-run finds the stored result
 and skips inference entirely), then fan a generated corpus of client
-programs across worker processes, streaming per-request latency via engine
-events and checking that the parallel flow reports are bit-identical to a
+programs across worker processes, streaming per-request latency from the
+trace spans and checking that the parallel flow reports are bit-identical to a
 serial run.
 
 Run with::
@@ -26,6 +26,7 @@ from repro.cli import apply_atlas_overrides
 from repro.engine import InferenceEngine, StreamSink, program_fingerprint
 from repro.experiments.config import QUICK_CONFIG
 from repro.library.registry import build_interface, build_library_program
+from repro.obs.trace import ambient_sink
 from repro.service import (
     AnalyzeRequest,
     SpecStore,
@@ -99,13 +100,11 @@ def main(argv=None) -> int:
         f"\nanalyzing {args.programs} generated programs with workers={args.workers} "
         f"(per-request latency streams below) ..."
     )
-    response = handle_request(
-        request,
-        store,
-        events=StreamSink(sys.stderr),
-        library_program=library,
-        interface=interface,
-    )
+    # process-global, so the forked analysis workers print their lines too
+    with ambient_sink(StreamSink(sys.stderr)):
+        response = handle_request(
+            request, store, library_program=library, interface=interface
+        )
     batch = response.result
 
     print(f"\n{'program':>8}  {'flows':>5}  {'latency':>9}")

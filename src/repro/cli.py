@@ -66,14 +66,21 @@ import dataclasses
 import json
 import os
 import sys
+from contextlib import nullcontext
 from typing import List, Optional
 
 from repro.engine import InferenceEngine, StreamSink
 from repro.engine.cache import compact_cache_file
+from repro.obs.trace import ambient_sink
 
 
 def _events(progress: bool):
     return StreamSink(sys.stderr) if progress else None
+
+
+def _progress_spans(progress: bool):
+    """Scope ``--progress`` lines for a request: its spans, on stderr."""
+    return ambient_sink(StreamSink(sys.stderr)) if progress else nullcontext()
 
 
 def _journal_path(args) -> Optional[str]:
@@ -143,12 +150,10 @@ def cmd_analyze(args) -> int:
         apps=tuple(args.apps.split(",")) if args.apps else (),
         include_timing=not args.no_timing,
     )
-    response = handle_request(
-        request,
-        SpecStore(args.store),
-        events=_events(args.progress),
-        analysis_cache_dir=args.analysis_cache,
-    )
+    with _progress_spans(args.progress):
+        response = handle_request(
+            request, SpecStore(args.store), analysis_cache_dir=args.analysis_cache
+        )
     _write_json(response.to_dict(), args.out)
     result = response.result
     sys.stderr.write(
@@ -168,7 +173,8 @@ def cmd_serve_batch(args) -> int:
         with open(args.request, "r", encoding="utf-8") as handle:
             data = json.load(handle)
     request = AnalyzeRequest.from_dict(data)
-    response = handle_request(request, SpecStore(args.store), events=_events(args.progress))
+    with _progress_spans(args.progress):
+        response = handle_request(request, SpecStore(args.store))
     _write_json(response.to_dict(), args.out)
     return 0
 
@@ -608,7 +614,7 @@ def cmd_obs_tail(args) -> int:
 
     # follow mode: poll for appended lines (the journal is append-only, so a
     # plain readline loop over the kept-open handle sees every new entry)
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:  # bytes: a line that is not UTF-8 is skipped, not fatal
         handle.seek(0, os.SEEK_END)
         try:
             while True:

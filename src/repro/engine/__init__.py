@@ -33,10 +33,6 @@ from repro.engine.cache import (
     program_fingerprint,
 )
 from repro.engine.events import (
-    AnalysisFinished,
-    AnalysisStarted,
-    BatchFinished,
-    BatchStarted,
     CacheCompacted,
     CacheFlushed,
     ClusterFinished,
@@ -175,10 +171,6 @@ class InferenceEngine:
 
 
 __all__ = [
-    "AnalysisFinished",
-    "AnalysisStarted",
-    "BatchFinished",
-    "BatchStarted",
     "CacheCompacted",
     "CacheFlushed",
     "ClusterExecutor",

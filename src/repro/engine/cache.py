@@ -23,6 +23,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
+from repro.jsonl import json_lines, json_objects
 from repro.lang.pretty import pretty_program
 from repro.lang.program import Program
 from repro.learn.oracle import DEFAULT_MAX_STEPS, DictCache
@@ -120,26 +121,21 @@ class PersistentCache:
     def _load(self) -> None:
         if not os.path.exists(self.path):
             return
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # truncated trailing line from an interrupted run
-                if entry.get("fp") != self.fingerprint:
-                    continue
-                if entry.get("init") != self.initialization:
-                    continue
-                if entry.get("steps") != self.max_steps:
-                    continue
-                try:
-                    word = decode_word(entry["word"])
-                except (KeyError, ValueError):
-                    continue
-                self._memory[word] = bool(entry["result"])
+        for entry in json_objects(self.path):
+            if entry.get("fp") != self.fingerprint:
+                continue
+            if entry.get("init") != self.initialization:
+                continue
+            if entry.get("steps") != self.max_steps:
+                continue
+            result = entry.get("result")
+            if not isinstance(result, bool):
+                continue
+            try:
+                word = decode_word(entry["word"])
+            except (AttributeError, KeyError, TypeError, ValueError):
+                continue  # not a word this codec wrote
+            self._memory[word] = result
 
     def flush(self) -> int:
         """Append pending entries to the file; returns how many were written."""
@@ -226,37 +222,27 @@ def compact_cache_file(path: str) -> CompactionStats:
 
     lines_before = 0
     malformed = 0
-    entries: Dict[Tuple, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            lines_before += 1
-            try:
-                entry = json.loads(line)
-                key = (
-                    entry["fp"],
-                    entry["init"],
-                    entry["steps"],
-                    tuple(entry["word"]),
-                )
-                bool(entry["result"])
-            except (json.JSONDecodeError, KeyError, TypeError):
-                malformed += 1
-                continue
+    entries: Dict[Tuple, bytes] = {}
+    for line, entry in json_lines(path):
+        lines_before += 1
+        try:  # a line that holds no object (entry is None) fails here too
+            key = (entry["fp"], entry["init"], entry["steps"], tuple(entry["word"]))
+            bool(entry["result"])
             # the last line for a key wins, but the key keeps its first-seen
-            # position in the rewritten file (dict update preserves insertion)
+            # position in the rewritten file (dict update preserves insertion);
+            # a list-valued key field fails to hash here
             entries[key] = line
+        except (KeyError, TypeError):
+            malformed += 1
 
     directory = os.path.dirname(path) or "."
     descriptor, temp_path = tempfile.mkstemp(
         prefix=os.path.basename(path) + ".compact-", dir=directory
     )
     try:
-        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
+        with os.fdopen(descriptor, "wb") as handle:
             for line in entries.values():
-                handle.write(line + "\n")
+                handle.write(line + b"\n")
         os.replace(temp_path, path)
     except BaseException:
         if os.path.exists(temp_path):

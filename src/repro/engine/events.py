@@ -121,49 +121,6 @@ class CacheCompacted(EngineEvent):
 
 
 @dataclass(frozen=True)
-class BatchStarted(EngineEvent):
-    """Emitted once when a batch analysis begins."""
-
-    num_programs: int
-    executor: str
-    workers: int
-
-
-@dataclass(frozen=True)
-class AnalysisStarted(EngineEvent):
-    """Emitted when one client program is dispatched for analysis.
-
-    As with :class:`ClusterStarted`, the parallel scheduler dispatches every
-    program up front; :class:`AnalysisFinished` carries the per-request wall
-    time measured inside the worker.
-    """
-
-    index: int
-    program: str
-
-
-@dataclass(frozen=True)
-class AnalysisFinished(EngineEvent):
-    """Emitted when one client program's flow report is ready."""
-
-    index: int
-    program: str
-    elapsed_seconds: float
-    flows: int
-    andersen_seconds: float
-    taint_seconds: float
-
-
-@dataclass(frozen=True)
-class BatchFinished(EngineEvent):
-    """Emitted once when a batch analysis completes."""
-
-    num_programs: int
-    elapsed_seconds: float
-    total_flows: int
-
-
-@dataclass(frozen=True)
 class FuzzStarted(EngineEvent):
     """Emitted once when a differential fuzzing campaign begins."""
 
@@ -435,7 +392,11 @@ class CollectingSink(EventSink):
 
 
 class StreamSink(EventSink):
-    """Renders events as human-readable progress lines on a text stream."""
+    """Renders events as human-readable progress lines on a text stream.
+
+    Of the trace spans, it prints the two that describe a served request:
+    one line per ``analysis.analyze`` and one per ``service.batch``.
+    """
 
     def __init__(self, stream: IO[str], prefix: str = "[engine] "):
         self.stream = stream
@@ -474,6 +435,21 @@ class FanOutSink(EventSink):
 
 def _format_event(event: EngineEvent) -> Optional[str]:
     """One progress line per event type (``None`` suppresses the event)."""
+    # a finished span is matched by name, not type: repro.obs.trace, which
+    # defines SpanFinished, imports this module
+    span_name = getattr(event, "name", None)
+    if span_name == "analysis.analyze":
+        attrs = event.attributes()
+        return (
+            f"analysis finished: {attrs.get('program')} in {event.elapsed_seconds:.3f}s "
+            f"({attrs.get('flows')} flows)"
+        )
+    if span_name == "service.batch":
+        attrs = event.attributes()
+        return (
+            f"batch finished: {attrs.get('programs')} programs in "
+            f"{event.elapsed_seconds:.2f}s, {attrs.get('flows')} flows"
+        )
     if isinstance(event, RunStarted):
         return (
             f"run started: {event.num_clusters} clusters, executor={event.executor}, "
@@ -494,25 +470,6 @@ def _format_event(event: EngineEvent) -> Optional[str]:
         return (
             f"cache compacted: {event.path}: {event.lines_before} -> {event.lines_after} lines "
             f"({event.superseded_dropped} superseded, {event.malformed_dropped} malformed)"
-        )
-    if isinstance(event, BatchStarted):
-        return (
-            f"batch started: {event.num_programs} programs, "
-            f"executor={event.executor}, workers={event.workers}"
-        )
-    if isinstance(event, AnalysisStarted):
-        return f"analysis {event.index} started: {event.program}"
-    if isinstance(event, AnalysisFinished):
-        return (
-            f"analysis {event.index} finished: {event.program} "
-            f"in {event.elapsed_seconds:.3f}s "
-            f"({event.flows} flows, andersen {event.andersen_seconds:.3f}s, "
-            f"taint {event.taint_seconds:.3f}s)"
-        )
-    if isinstance(event, BatchFinished):
-        return (
-            f"batch finished: {event.num_programs} programs in "
-            f"{event.elapsed_seconds:.2f}s, {event.total_flows} flows"
         )
     if isinstance(event, FuzzStarted):
         return (
@@ -632,10 +589,6 @@ def _format_event(event: EngineEvent) -> Optional[str]:
 
 
 __all__ = [
-    "AnalysisFinished",
-    "AnalysisStarted",
-    "BatchFinished",
-    "BatchStarted",
     "CacheCompacted",
     "CacheFlushed",
     "CampaignFinished",

@@ -29,9 +29,10 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Union
 
 from repro.engine.events import EngineEvent, EventSink
+from repro.jsonl import json_object, json_objects
 from repro.obs import trace as _trace
 from repro.obs.trace import SpanFinished
 
@@ -165,33 +166,39 @@ def read_journal(path: str) -> List[JournalEntry]:
     return list(iter_journal(path))
 
 
-def parse_journal_line(line: str) -> Optional[JournalEntry]:
+def parse_journal_line(line: Union[str, bytes]) -> Optional[JournalEntry]:
     """Decode one journal line; ``None`` for blank, torn, or foreign lines."""
-    line = line.strip()
-    if not line:
-        return None
-    try:
-        raw = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(raw, dict) or "event" not in raw:
+    raw = json_object(line)
+    return _journal_entry(raw) if raw is not None else None
+
+
+def _journal_entry(raw: Dict) -> Optional[JournalEntry]:
+    """The entry one decoded line describes; ``None`` when a field is foreign."""
+    ts = raw.get("ts", 0.0)
+    data = raw.get("data") or {}
+    ids = (raw.get("trace_id"), raw.get("span_id"), raw.get("parent_id"))
+    if (
+        "event" not in raw
+        or not isinstance(ts, (int, float))
+        or not isinstance(data, dict)
+        or not all(value is None or isinstance(value, str) for value in ids)
+    ):
         return None
     return JournalEntry(
-        ts=float(raw.get("ts", 0.0)),
-        trace_id=raw.get("trace_id"),
-        span_id=raw.get("span_id"),
-        parent_id=raw.get("parent_id"),
+        ts=float(ts),
+        trace_id=ids[0],
+        span_id=ids[1],
+        parent_id=ids[2],
         event=str(raw["event"]),
-        data=raw.get("data") or {},
+        data=data,
     )
 
 
 def iter_journal(path: str) -> Iterator[JournalEntry]:
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            entry = parse_journal_line(line)
-            if entry is not None:
-                yield entry
+    for raw in json_objects(path):
+        entry = _journal_entry(raw)
+        if entry is not None:
+            yield entry
 
 
 __all__ = [

@@ -11,8 +11,9 @@ Spans are deliberately *not* a new telemetry channel: a finished span is a
 :class:`~repro.engine.events.EngineEvent` -- delivered through the same
 :class:`~repro.engine.events.EventSink` interface every other engine event
 uses.  A :class:`~repro.obs.journal.JournalSink` persists them, the server's
-``MetricsSink`` folds them into per-phase latency histograms, and the
-progress ``StreamSink`` ignores them.
+``MetricsSink`` folds them into per-phase latency histograms and counts
+analyses and batches from them, and the progress ``StreamSink`` prints the
+two that describe a served request (``analysis.analyze``, ``service.batch``).
 
 Three propagation mechanisms cover the system's concurrency shapes:
 

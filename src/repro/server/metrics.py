@@ -10,15 +10,16 @@ endpoint renders :meth:`ServerMetrics.snapshot` as JSON (the default) or
 * the HTTP layer records each request's status class and wall-clock latency
   (:meth:`ServerMetrics.record_request`), and
 * :class:`MetricsSink` -- an :class:`~repro.engine.events.EventSink` --
-  counts the engine telemetry the workers emit while analyzing
-  (:class:`~repro.engine.events.AnalysisFinished` per program,
+  counts the telemetry the workers emit while analyzing.  Every finished
+  span (:class:`~repro.obs.trace.SpanFinished`) lands in the per-phase
+  latency histogram (``repro_phase_seconds{phase=...}``), and three span
+  names also feed counters: ``analysis.analyze`` (one per program, with its
+  ``flows``), ``service.batch`` (one per batch) and ``analysis.solve`` (by
+  outcome).  Lifecycle events count the rest --
   :class:`~repro.engine.events.SpecCompiled` per worker compilation,
-  :class:`~repro.engine.events.SpecReloaded` per hot reload), so the
+  :class:`~repro.engine.events.SpecReloaded` per hot reload -- so the
   per-worker compile counters that prove "specs are compiled once per
-  worker, not once per request" come from the same event stream every other
-  engine consumer uses.  :class:`~repro.obs.trace.SpanFinished` events ride
-  the same stream and land in the per-phase latency histogram
-  (``repro_phase_seconds{phase=...}``).
+  worker, not once per request" come from the same stream.
 
 The counters live in a :class:`repro.obs.metrics.MetricsRegistry`; the JSON
 snapshot is *derived* from the registry, so the two expositions can never
@@ -42,8 +43,6 @@ from collections import deque
 from typing import Deque, Dict, Optional
 
 from repro.engine.events import (
-    AnalysisFinished,
-    BatchFinished,
     CanaryFinished,
     EngineEvent,
     EventSink,
@@ -193,11 +192,11 @@ class ServerMetrics:
                 outcome = event.attributes().get("outcome")
                 if outcome:
                     self._solves.inc(outcome=outcome)
-        elif isinstance(event, AnalysisFinished):
-            self._analyses.inc()
-            self._flows.inc(event.flows)
-        elif isinstance(event, BatchFinished):
-            self._batches.inc()
+            elif event.name == "analysis.analyze":
+                self._analyses.inc()
+                self._flows.inc(int(event.attributes().get("flows", 0)))
+            elif event.name == "service.batch":
+                self._batches.inc()
         elif isinstance(event, SpecCompiled):
             self._compilations.inc(worker=event.worker)
         elif isinstance(event, SpecReloaded):

@@ -34,12 +34,19 @@ Design points worth knowing before reading the code:
   no live worker left -- or whose retry dies too -- fails with
   :class:`WorkerLost`, which the front door turns into ``503`` +
   ``Retry-After``.
-* **Telemetry crosses the fork as data.**  Engine events (frozen picklable
-  dataclasses, spans included) are forwarded from each worker over the
-  result queue and re-emitted into the pool's sink by the parent's collector
-  thread -- one journal writer, one metrics registry, and the "compiled once
-  per worker, never once per request" counters keep working.  The worker
-  resets the fork-inherited ambient sinks first
+* **One message per reply; telemetry rides it as data.**  A worker holds
+  the engine events and finished spans it emits (frozen picklable
+  dataclasses) in its ambient sink, and every message it sends --
+  ``ready``, ``startup_error``, ``result``, ``shadow`` -- carries what it
+  held since its last one, so a request crosses the result queue once.
+  The parent's collector thread re-emits that telemetry into the pool's
+  sink before it acts on the message -- one journal writer, one metrics
+  registry, and the "compiled once per worker, never once per request"
+  counters keep working, all updated before a client sees its answer.  The
+  queue wait is measured at the worker's dequeue and shipped as the
+  result's ``queue_seconds``; the parent, which holds the request's trace
+  context and enqueue time, builds the ``server.queue_wait`` span from it.
+  The worker resets the fork-inherited ambient sinks first
   (:func:`repro.obs.trace.reset_ambient_sinks`), so nothing is delivered
   twice.
 * **Shadow mirroring stays parent-sampled.**  The parent decides at dispatch
@@ -80,7 +87,7 @@ from multiprocessing.connection import wait as wait_for_ready
 from typing import Dict, List, Optional, Tuple
 
 from repro.engine.cache import program_fingerprint
-from repro.engine.events import EventSink, NullSink, SpecCompiled, SpecReloaded
+from repro.engine.events import CollectingSink, EventSink, NullSink, SpecCompiled, SpecReloaded
 from repro.library.registry import build_library_program, build_spec_interface
 from repro.obs import trace as _trace
 from repro.obs.trace import SpanFinished, TraceContext
@@ -148,20 +155,6 @@ class WorkerLost(RuntimeError):
     retry_after_seconds = DEFAULT_RETRY_AFTER_SECONDS
 
 
-class _QueueSink(EventSink):
-    """Worker-side ambient sink: every event becomes a message to the parent."""
-
-    def __init__(self, out, worker: str):
-        self.out = out
-        self.worker = worker
-
-    def emit(self, event) -> None:
-        try:
-            self.out.put(("event", self.worker, event))
-        except Exception:  # noqa: BLE001 - telemetry must never kill a worker
-            pass
-
-
 def _evict_stale(analyzers: Dict[str, ClientAnalyzer], protected: set) -> None:
     """Bound a worker's analyzer cache (hot reloads and pinned ids add up).
 
@@ -199,14 +192,20 @@ def _worker_main(
     except (ValueError, OSError):
         pass
     _trace.reset_ambient_sinks()  # see module docstring: no double delivery
-    sink = _QueueSink(results, name)
-    _trace.add_ambient_sink(sink)
+    held = CollectingSink()
+    _trace.add_ambient_sink(held)
+
+    def send(kind: str, *fields) -> None:
+        """One message to the parent, carrying the telemetry held since the last."""
+        telemetry, held.events = held.events, []
+        results.put((kind, name, telemetry, *fields))
+
     try:
         store = SpecStore(store_root)
         library = build_library_program()
         interface = build_spec_interface(library)
     except BaseException as error:  # noqa: BLE001 - surfaced to start()
-        results.put(("startup_error", name, f"{type(error).__name__}: {error}"))
+        send("startup_error", f"{type(error).__name__}: {error}")
         return
 
     analyzers: Dict[str, ClientAnalyzer] = {}
@@ -223,7 +222,7 @@ def _worker_main(
             # appends to its own, loads the union -- no write interleaving
             analysis_cache_worker=name,
         )
-        sink.emit(
+        held.emit(
             SpecCompiled(
                 worker=name,
                 spec_id=analyzer.spec_id,
@@ -235,9 +234,9 @@ def _worker_main(
     try:
         analyzers[initial_spec_id] = compile_spec(initial_spec_id)
     except BaseException as error:  # noqa: BLE001 - surfaced to start()
-        results.put(("startup_error", name, f"{type(error).__name__}: {error}"))
+        send("startup_error", f"{type(error).__name__}: {error}")
         return
-    results.put(("ready", name, None))
+    send("ready")
 
     while True:
         message = jobs.get()
@@ -246,26 +245,12 @@ def _worker_main(
         job_id, request_doc, target_spec_id, context_doc, shadow_spec_id, enqueued_at = message
         # CLOCK_MONOTONIC is system-wide on Linux, so the parent's enqueue
         # stamp is comparable here; clamp anyway for exotic platforms
-        queue_seconds = max(0.0, time.perf_counter() - enqueued_at)
+        timing = {"queue_seconds": max(0.0, time.perf_counter() - enqueued_at)}
         context = TraceContext.from_dict(context_doc) if context_doc else None
-        if context is not None:
-            # the dequeue is the only place queue wait is known, so the span
-            # is synthesized here as a child of the request span
-            sink.emit(
-                SpanFinished(
-                    name="server.queue_wait",
-                    trace_id=context.trace_id,
-                    span_id=_trace.new_id(),
-                    parent_id=context.span_id,
-                    started_at=time.time() - queue_seconds,
-                    elapsed_seconds=queue_seconds,
-                    attrs=(("worker", name),),
-                )
-            )
         try:
             request = AnalyzeRequest.from_dict(request_doc)
         except (ValueError, TypeError) as error:
-            results.put(("result", name, job_id, "error", str(error), None))
+            send("result", job_id, "error", str(error), timing)
             continue
         spec_id = request.spec_id if request.spec_id is not None else target_spec_id
         analysis_started = time.perf_counter()
@@ -276,27 +261,24 @@ def _worker_main(
                 analyzers, {target_spec_id, spec_id, shadow_spec_id} - {None}
             )
             with _trace.activate(context):
-                response = run_request(request, analyzers[spec_id], events=sink)
+                response = run_request(request, analyzers[spec_id])
         except SpecNotFoundError as error:
-            results.put(("result", name, job_id, "spec_not_found", str(error), None))
+            send("result", job_id, "spec_not_found", str(error), timing)
             continue
         except UnknownAppsError as error:
-            results.put(("result", name, job_id, "unknown_apps", str(error), None))
+            send("result", job_id, "unknown_apps", str(error), timing)
             continue
         except BaseException as error:  # noqa: BLE001 - the wire needs an answer
-            results.put(
-                ("result", name, job_id, "error", f"{type(error).__name__}: {error}", None)
-            )
+            send("result", job_id, "error", f"{type(error).__name__}: {error}", timing)
             continue
         reports = response.result.reports
-        timing = {
-            "queue_seconds": queue_seconds,
-            "analysis_seconds": time.perf_counter() - analysis_started,
-            "andersen_seconds": sum(r.timing.andersen_seconds for r in reports),
-            "taint_seconds": sum(r.timing.taint_seconds for r in reports),
-            "solve_seconds": sum(r.timing.solve_seconds for r in reports),
-        }
-        results.put(("result", name, job_id, "ok", response.to_dict(), timing))
+        timing.update(
+            analysis_seconds=time.perf_counter() - analysis_started,
+            andersen_seconds=sum(r.timing.andersen_seconds for r in reports),
+            taint_seconds=sum(r.timing.taint_seconds for r in reports),
+            solve_seconds=sum(r.timing.solve_seconds for r in reports),
+        )
+        send("result", job_id, "ok", response.to_dict(), timing)
         if shadow_spec_id is not None and request.spec_id is None:
             # strictly after the served result shipped: nothing below can
             # affect what the client got
@@ -304,12 +286,10 @@ def _worker_main(
                 if shadow_spec_id not in analyzers:
                     analyzers[shadow_spec_id] = compile_spec(shadow_spec_id)
                 with _trace.activate(context):
-                    shadowed = run_request(request, analyzers[shadow_spec_id], events=sink)
-                results.put(("shadow", name, job_id, "ok", shadowed.to_dict(), None))
+                    shadowed = run_request(request, analyzers[shadow_spec_id])
+                send("shadow", job_id, "ok", shadowed.to_dict())
             except Exception as error:  # noqa: BLE001 - shadows are best-effort
-                results.put(
-                    ("shadow", name, job_id, "error", f"{type(error).__name__}: {error}", None)
-                )
+                send("shadow", job_id, "error", f"{type(error).__name__}: {error}")
 
 
 @dataclass
@@ -325,6 +305,8 @@ class _Pending:
     context: Optional[dict] = None
     shadow_spec_id: Optional[str] = None
     worker: str = ""
+    #: wall-clock time of the latest dispatch: where ``server.queue_wait`` starts
+    enqueued_at: float = 0.0
     retried: bool = False
     served: Optional[AnalyzeResponse] = None  # kept only until the shadow lands
 
@@ -543,6 +525,7 @@ class ProcessWorkerPool:
         self._job_counter += 1
         job_id = self._job_counter
         job.worker = worker
+        job.enqueued_at = time.time()
         self._pending[job_id] = job
         self._outstanding[worker] += 1
         message = (
@@ -632,7 +615,7 @@ class ProcessWorkerPool:
 
     # ---------------------------------------------------------------- collector
     def _collector_loop(self) -> None:
-        """Drain the shared result queue: events, results, shadows, lifecycle.
+        """Drain the shared result queue: results, shadows, lifecycle.
 
         The single place worker messages re-enter the parent -- which is what
         keeps one journal writer, one metrics registry, and a race-free
@@ -655,43 +638,62 @@ class ProcessWorkerPool:
             self._dispatch_message(message)
 
     def _dispatch_message(self, message) -> None:
+        """Act on one worker message ``(kind, worker, telemetry, *fields)``."""
         try:
-            kind = message[0]
+            kind, worker, telemetry, *fields = message
+            if kind == "result":  # emits the telemetry itself, after queue_wait
+                self._on_result(worker, telemetry, *fields)
+                return
+            for event in telemetry:
+                self.events.emit(event)
             if kind == "ready":
-                self._ready_events[message[1]].set()
+                self._ready_events[worker].set()
             elif kind == "startup_error":
-                self._startup_errors.append(f"{message[1]}: {message[2]}")
-                self._ready_events[message[1]].set()
-            elif kind == "event":
-                self.events.emit(message[2])
-            elif kind == "result":
-                self._on_result(*message[2:])
+                self._startup_errors.append(f"{worker}: {fields[0]}")
+                self._ready_events[worker].set()
             elif kind == "shadow":
-                self._on_shadow(*message[2:])
+                self._on_shadow(*fields)
         except Exception:  # noqa: BLE001 - the collector must outlive bad messages
             pass
 
-    def _on_result(self, job_id: int, status: str, payload, timing) -> None:
+    def _on_result(
+        self, worker: str, telemetry: List, job_id: int, status: str, payload, timing
+    ) -> None:
         response = AnalyzeResponse.from_dict(payload) if status == "ok" else None
         with self._lock:
             job = self._pending.get(job_id)
-            if job is None:
-                return  # settled already (its worker died and it was retried)
-            if response is not None and job.shadow_spec_id is not None:
-                job.served = response  # keep pending until the shadow lands
-            else:
-                self._retire(job_id)
+            if job is not None:
+                if response is not None and job.shadow_spec_id is not None:
+                    job.served = response  # keep pending until the shadow lands
+                else:
+                    self._retire(job_id)
+        if job is not None and job.context is not None:
+            self.events.emit(
+                SpanFinished(
+                    name="server.queue_wait",
+                    trace_id=job.context["trace_id"],
+                    span_id=_trace.new_id(),
+                    parent_id=job.context["span_id"],
+                    started_at=job.enqueued_at,
+                    elapsed_seconds=timing["queue_seconds"],
+                    attrs=(("worker", worker),),
+                )
+            )
+        for event in telemetry:
+            self.events.emit(event)
+        if job is None:
+            return  # settled already (its worker died and it was retried)
         if response is None:
             error_type = _ERROR_TYPES.get(status, RuntimeError)
             job.future.set_exception(error_type(payload))
             return
         # timing attributes ride the future (no __slots__), so the front door
         # renders Server-Timing without changing the submit()/result() contract
-        for key, value in (timing or {}).items():
+        for key, value in timing.items():
             setattr(job.future, key, value)
         job.future.set_result(response)
 
-    def _on_shadow(self, job_id: int, status: str, payload, _timing) -> None:
+    def _on_shadow(self, job_id: int, status: str, payload) -> None:
         with self._lock:
             job = self._retire(job_id)
         if job is None:

@@ -264,7 +264,7 @@ class ClientAnalyzer:
         solver to observe).  Flows come back in canonical order, so reports
         are bit-identical whichever path -- or cache entry -- produced them.
         """
-        with _trace.span("analysis.analyze", program=name):
+        with _trace.span("analysis.analyze", program=name) as analyze_span:
             started = time.perf_counter()
             merged = program.merged_with(self.base_program)
             # encoded once: the digest and the engine's snapshot pool share it
@@ -301,6 +301,7 @@ class ClientAnalyzer:
                 finished = time.perf_counter()
                 andersen_seconds = 0.0
                 taint_seconds = 0.0
+            analyze_span.set("flows", len(flows))
         return FlowReport(
             program=name,
             flows=flows,

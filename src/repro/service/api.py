@@ -40,7 +40,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.benchgen.generator import GeneratedApp
 from repro.benchgen.suite import benchmark_suite
-from repro.engine.events import EventSink
 from repro.library.registry import build_library_program
 from repro.obs import trace as _trace
 from repro.service.analyzer import ClientAnalyzer
@@ -281,11 +280,7 @@ def build_corpus(request: AnalyzeRequest) -> List[GeneratedApp]:
     return apps
 
 
-def run_request(
-    request: AnalyzeRequest,
-    analyzer: ClientAnalyzer,
-    events: Optional[EventSink] = None,
-) -> AnalyzeResponse:
+def run_request(request: AnalyzeRequest, analyzer: ClientAnalyzer) -> AnalyzeResponse:
     """Answer a request under an already-compiled analyzer.
 
     The cheap half of request handling: build the corpus and fan it across
@@ -299,7 +294,7 @@ def run_request(
         "service.request", workers=request.workers, spec_id=analyzer.spec_id or ""
     ):
         apps = build_corpus(request)
-        scheduler = BatchAnalysisScheduler(analyzer, workers=request.workers, events=events)
+        scheduler = BatchAnalysisScheduler(analyzer, workers=request.workers)
         result = scheduler.analyze_apps(apps)
     return AnalyzeResponse(spec_id=analyzer.spec_id, request=request, result=result)
 
@@ -307,7 +302,6 @@ def run_request(
 def handle_request(
     request: AnalyzeRequest,
     store: SpecStore,
-    events: Optional[EventSink] = None,
     library_program=None,
     interface=None,
     analysis_cache_dir: Optional[str] = None,
@@ -331,7 +325,7 @@ def handle_request(
         interface=interface,
         analysis_cache_dir=analysis_cache_dir,
     )
-    return run_request(request, analyzer, events=events)
+    return run_request(request, analyzer)
 
 
 __all__ = [

@@ -8,27 +8,19 @@ process pool that receives the precompiled base program once per worker --
 and merges the flow reports back in corpus order, so the batch result is
 bit-identical however many workers ran it.
 
-Per-request latency is measured inside the worker and surfaced as
-:class:`~repro.engine.events.AnalysisFinished` telemetry (completion order);
-:class:`~repro.engine.events.BatchStarted`/:class:`~repro.engine.events.BatchFinished`
-bracket the run.
+Telemetry is trace spans (:mod:`repro.obs.trace`): one ``service.batch``
+span around the run, carrying ``programs``, ``executor`` and ``flows``, and
+one ``analysis.analyze`` span per program, timed inside the worker that
+analyzed it and carrying that program's ``flows``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.benchgen.generator import GeneratedApp
-from repro.engine.events import (
-    AnalysisFinished,
-    AnalysisStarted,
-    BatchFinished,
-    BatchStarted,
-    EventSink,
-    NullSink,
-)
 from repro.engine.executor import make_task_executor
 from repro.lang.program import Program
 from repro.obs import trace as _trace
@@ -94,64 +86,26 @@ class BatchAnalysisScheduler:
     program) once per process via the pool initializer.
     """
 
-    def __init__(
-        self,
-        analyzer: ClientAnalyzer,
-        workers: int = 0,
-        events: Optional[EventSink] = None,
-    ):
+    def __init__(self, analyzer: ClientAnalyzer, workers: int = 0):
         self.analyzer = analyzer
         self.workers = workers
-        self.events = events if events is not None else NullSink()
 
     def analyze(self, named_programs: Sequence[Tuple[str, Program]]) -> BatchResult:
         """Analyze ``(name, program)`` pairs; reports come back in input order."""
         executor = make_task_executor(self.workers)
         payloads = list(named_programs)
-        self.events.emit(
-            BatchStarted(
-                num_programs=len(payloads),
-                executor=executor.name,
-                workers=self.workers,
-            )
-        )
-        for index, (name, _program) in enumerate(payloads):
-            self.events.emit(AnalysisStarted(index=index, program=name))
-
-        def on_result(index: int, report: FlowReport) -> None:
-            self.events.emit(
-                AnalysisFinished(
-                    index=index,
-                    program=report.program,
-                    elapsed_seconds=report.timing.total_seconds,
-                    flows=report.num_flows,
-                    andersen_seconds=report.timing.andersen_seconds,
-                    taint_seconds=report.timing.taint_seconds,
-                )
-            )
-
         started = time.perf_counter()
         with _trace.span(
             "service.batch", programs=len(payloads), executor=executor.name
-        ):
-            reports = executor.map(
-                analyze_payload, self.analyzer, payloads, on_result=on_result
-            )
-        elapsed = time.perf_counter() - started
-        result = BatchResult(
+        ) as batch_span:
+            reports = executor.map(analyze_payload, self.analyzer, payloads)
+            batch_span.set("flows", sum(report.num_flows for report in reports))
+        return BatchResult(
             reports=reports,
-            elapsed_seconds=elapsed,
+            elapsed_seconds=time.perf_counter() - started,
             executor=executor.name,
             workers=self.workers,
         )
-        self.events.emit(
-            BatchFinished(
-                num_programs=len(payloads),
-                elapsed_seconds=elapsed,
-                total_flows=result.total_flows,
-            )
-        )
-        return result
 
     def analyze_apps(self, apps: Iterable[GeneratedApp]) -> BatchResult:
         return self.analyze([(app.name, app.program) for app in apps])

@@ -45,6 +45,7 @@ from typing import Dict, List, Optional
 
 from repro.engine.cache import program_fingerprint
 from repro.engine.persist import atlas_result_from_dict, atlas_result_to_dict
+from repro.jsonl import json_objects
 from repro.lang.program import Program
 from repro.specs.variables import LibraryInterface
 
@@ -159,6 +160,25 @@ def _sha256_bytes(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+def _matching(
+    records: List[SpecRecord], fingerprint: Optional[str], config_digest: Optional[str]
+) -> List[SpecRecord]:
+    return [
+        record
+        for record in records
+        if (fingerprint is None or record.fingerprint == fingerprint)
+        and (config_digest is None or record.config_digest == config_digest)
+    ]
+
+
+def _current_states(records: List[SpecRecord], transitions: List[Dict]) -> Dict[str, str]:
+    states = {record.spec_id: record.state or STATE_ACTIVE for record in records}
+    for entry in transitions:
+        if entry["spec_id"] in states:
+            states[entry["spec_id"]] = entry["state"]
+    return states
+
+
 class SpecStore:
     """Registry of learned specifications under one root directory.
 
@@ -201,26 +221,18 @@ class SpecStore:
         transitions: List[Dict] = []
         if not os.path.exists(self.index_path):
             return records, transitions
-        with open(self.index_path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    data = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # truncated trailing line from an interrupted put
-                if not isinstance(data, dict):
-                    continue
-                if data.get("format") == TRANSITION_FORMAT:
-                    if "spec_id" in data and "state" in data:
-                        transitions.append(data)
-                    continue
-                try:
-                    record = SpecRecord.from_dict(data)
-                except (KeyError, TypeError, ValueError):
-                    continue  # a line format this reader does not understand
-                records.append(record)
+        for data in json_objects(self.index_path):
+            if not isinstance(data.get("spec_id"), str):
+                continue  # spec ids key dicts: a foreign line's may not hash
+            if data.get("format") == TRANSITION_FORMAT:
+                if isinstance(data.get("state"), str):
+                    transitions.append(data)
+                continue
+            try:
+                record = SpecRecord.from_dict(data)
+            except (KeyError, TypeError, ValueError):
+                continue  # a line format this reader does not understand
+            records.append(record)
         return records, transitions
 
     def records(self) -> List[SpecRecord]:
@@ -237,14 +249,7 @@ class SpecStore:
     def states(self) -> Dict[str, str]:
         """Current lifecycle state of every spec id (birth state, then
         overridden by each later transition line in append order)."""
-        records, transitions = self._read_index()
-        states = {
-            record.spec_id: record.state or STATE_ACTIVE for record in records
-        }
-        for entry in transitions:
-            if entry["spec_id"] in states:
-                states[entry["spec_id"]] = entry["state"]
-        return states
+        return _current_states(*self._read_index())
 
     def current_state(self, spec_id: str) -> str:
         """The lifecycle state of *spec_id* right now."""
@@ -281,12 +286,7 @@ class SpecStore:
         config_digest: Optional[str] = None,
     ) -> List[SpecRecord]:
         """Records filtered by library fingerprint and/or config digest."""
-        return [
-            record
-            for record in self.records()
-            if (fingerprint is None or record.fingerprint == fingerprint)
-            and (config_digest is None or record.config_digest == config_digest)
-        ]
+        return _matching(self.records(), fingerprint, config_digest)
 
     def latest(
         self,
@@ -302,9 +302,10 @@ class SpecStore:
         predecessor.  Pass ``servable_only=False`` for the raw newest record
         regardless of state.
         """
-        matching = self.list(fingerprint=fingerprint, config_digest=config_digest)
+        records, transitions = self._read_index()  # one pass: polled every few seconds
+        matching = _matching(records, fingerprint, config_digest)
         if servable_only:
-            states = self.states()
+            states = _current_states(records, transitions)
             matching = [
                 record
                 for record in matching

@@ -31,6 +31,7 @@ import tempfile
 from typing import Dict, List, Optional, Tuple
 
 from repro.engine.cache import CompactionStats
+from repro.jsonl import json_lines, json_objects
 
 #: basename stem every cache file in a directory shares
 ANALYSIS_CACHE_BASENAME = "analysis-cache"
@@ -99,22 +100,14 @@ class AnalysisResultCache:
     # -------------------------------------------------------------- disk layer
     def _load(self) -> None:
         for path in analysis_cache_files(self.directory):
-            with open(path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue  # truncated trailing line from a killed worker
-                    if entry.get("spec") != self.spec_key:
-                        continue
-                    digest = entry.get("digest")
-                    flows = entry.get("flows")
-                    if not isinstance(digest, str) or not isinstance(flows, list):
-                        continue
-                    self._memory[digest] = flows
+            for entry in json_objects(path):
+                if entry.get("format") != _ENTRY_FORMAT or entry.get("spec") != self.spec_key:
+                    continue
+                digest = entry.get("digest")
+                flows = entry.get("flows")
+                if not isinstance(digest, str) or not isinstance(flows, list):
+                    continue
+                self._memory[digest] = flows
 
 
 # ------------------------------------------------------------------ compaction
@@ -134,31 +127,25 @@ def compact_analysis_cache_file(path: str) -> CompactionStats:
 
     lines_before = 0
     malformed = 0
-    entries: Dict[Tuple[str, str], str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            lines_before += 1
-            try:
-                entry = json.loads(line)
-                key = (entry["spec"], entry["digest"])
-                if not isinstance(entry["flows"], list):
-                    raise TypeError("flows must be a list")
-            except (json.JSONDecodeError, KeyError, TypeError):
-                malformed += 1
-                continue
-            entries[key] = line
+    entries: Dict[Tuple[str, str], bytes] = {}
+    for line, entry in json_lines(path):
+        lines_before += 1
+        try:  # a line that holds no object (entry is None) fails here too
+            key = (entry["spec"], entry["digest"])
+            if not isinstance(entry["flows"], list):
+                raise TypeError("flows must be a list")
+            entries[key] = line  # a list-valued key field fails to hash here
+        except (KeyError, TypeError):
+            malformed += 1
 
     directory = os.path.dirname(path) or "."
     descriptor, temp_path = tempfile.mkstemp(
         prefix=os.path.basename(path) + ".compact-", dir=directory
     )
     try:
-        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
+        with os.fdopen(descriptor, "wb") as handle:
             for line in entries.values():
-                handle.write(line + "\n")
+                handle.write(line + b"\n")
         os.replace(temp_path, path)
     except BaseException:
         if os.path.exists(temp_path):

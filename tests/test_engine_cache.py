@@ -88,12 +88,28 @@ def test_persistent_cache_isolated_by_fingerprint_and_initialization(tmp_path):
     assert same.get(BOX_WORD) is True
 
 
+def _oracle_line(**fields) -> bytes:
+    entry = {"fp": "fp1", "init": "instantiation", "steps": DEFAULT_MAX_STEPS}
+    entry.update(fields)
+    return json.dumps(entry).encode("utf-8")
+
+
+#: lines a reader must skip rather than raise on
+FOREIGN_ORACLE_LINES = (
+    b"[1, 2]",
+    b'"x"',
+    _oracle_line(word=list(encode_word(WRONG_WORD))),  # no result
+    b'{"fp": "fp1", "word": ["\xff"]}',  # not UTF-8
+)
+
+
 def test_persistent_cache_skips_corrupt_trailing_line(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     with PersistentCache(path, fingerprint="fp1") as cache:
         cache.put(BOX_WORD, True)
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"fp": "fp1", "init": "instantiation", "word"')  # interrupted write
+    with open(path, "ab") as handle:
+        handle.write(b"".join(line + b"\n" for line in FOREIGN_ORACLE_LINES))
+        handle.write(b'{"fp": "fp1", "init": "instantiation", "word"')  # interrupted write
     reloaded = PersistentCache(path, fingerprint="fp1")
     assert reloaded.get(BOX_WORD) is True
     assert len(reloaded) == 1
@@ -152,13 +168,16 @@ def test_compact_drops_superseded_and_malformed_lines(tmp_path):
             + "\n"
         )
         handle.write('{"fp": "fp1", "init"\n')
+    with open(path, "ab") as handle:  # an unhashable key field, and non-UTF-8 bytes
+        handle.write(_oracle_line(fp=["x"], word=[], result=True) + b"\n")
+        handle.write(b'{"fp": "fp1", "word": ["\xff"]}\n')
 
     stats = compact_cache_file(path)
-    assert stats.lines_before == 4
+    assert stats.lines_before == 6
     assert stats.lines_after == 2
     assert stats.superseded_dropped == 1
-    assert stats.malformed_dropped == 1
-    assert stats.lines_dropped == 2
+    assert stats.malformed_dropped == 3
+    assert stats.lines_dropped == 4
 
     reloaded = PersistentCache(path, fingerprint="fp1")
     assert reloaded.get(BOX_WORD) is True

@@ -13,6 +13,7 @@ from repro.engine.events import (
     RunStarted,
     StreamSink,
 )
+from repro.obs.trace import SpanFinished
 
 
 def _sample_events():
@@ -66,6 +67,25 @@ def test_stream_sink_renders_one_line_per_event():
     assert "2 clusters" in lines[0]
     assert "Box" in lines[1]
     assert "25.0% cache hits" in lines[-1]
+
+
+def test_stream_sink_prints_the_two_request_spans():
+    def finished(name, **attrs):
+        return SpanFinished(
+            name=name, trace_id="t", span_id=name, parent_id=None, started_at=0.0,
+            elapsed_seconds=0.25, attrs=tuple(sorted(attrs.items())),
+        )
+
+    stream = io.StringIO()
+    sink = StreamSink(stream, prefix="> ")
+    sink.emit(finished("analysis.solve", program="App00", outcome="cold"))
+    sink.emit(finished("analysis.analyze", program="App00", flows="2"))
+    sink.emit(finished("service.batch", programs="1", executor="serial", flows="2"))
+    sink.emit(finished("service.request"))
+    assert stream.getvalue().splitlines() == [
+        "> analysis finished: App00 in 0.250s (2 flows)",
+        "> batch finished: 1 programs in 0.25s, 2 flows",
+    ]
 
 
 def test_fan_out_sink_broadcasts():

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.engine.events import AnalysisFinished, dropped_event_count
+from repro.engine.events import SpecCompiled, dropped_event_count
 from repro.obs import trace
 from repro.obs.journal import (
     JOURNAL_FORMAT,
@@ -14,11 +14,8 @@ from repro.obs.journal import (
 )
 
 
-def analysis(program="App00", flows=0):
-    return AnalysisFinished(
-        index=0, program=program, elapsed_seconds=0.0, flows=flows,
-        andersen_seconds=0.0, taint_seconds=0.0,
-    )
+def compiled(spec_id="s-v1", worker="proc-0"):
+    return SpecCompiled(worker=worker, spec_id=spec_id, elapsed_seconds=0.0)
 
 
 def test_span_envelope_carries_the_spans_own_ids(tmp_path):
@@ -44,7 +41,7 @@ def test_span_envelope_carries_the_spans_own_ids(tmp_path):
 def test_plain_events_are_stamped_with_the_ambient_context(tmp_path):
     path = str(tmp_path / "journal.jsonl")
     sink = JournalSink(path)
-    event = analysis("App00", flows=3)
+    event = compiled("s-v1", worker="proc-3")
     with trace.span("request", sink=sink) as active:
         sink.emit(event)
     sink.emit(event)  # outside any span: no trace id
@@ -52,14 +49,14 @@ def test_plain_events_are_stamped_with_the_ambient_context(tmp_path):
 
     entries = read_journal(path)
     assert [entry.event for entry in entries] == [
-        "AnalysisFinished",
+        "SpecCompiled",
         "SpanFinished",
-        "AnalysisFinished",
+        "SpecCompiled",
     ]
     inside, span_entry, outside = entries
     assert inside.trace_id == active.trace_id
     assert inside.span_id == span_entry.span_id
-    assert inside.data["program"] == "App00"
+    assert inside.data["spec_id"] == "s-v1"
     assert outside.trace_id is None
 
 
@@ -69,13 +66,19 @@ def test_malformed_and_foreign_lines_are_skipped(tmp_path):
         {"format": JOURNAL_FORMAT, "ts": 1.0, "trace_id": None, "span_id": None,
          "parent_id": None, "event": "RunStarted", "data": {}}
     )
-    path.write_text(
-        "\n".join(["not json at all", '{"no": "event key"}', '["a list"]', good, '{"torn'])
-        + "\n",
-        encoding="utf-8",
-    )
+    # foreign field types and non-UTF-8 bytes: skipped, never raised on
+    foreign = [
+        b'{"event": "RunStarted", "ts": "abc"}',
+        b'{"event": "RunStarted", "ts": null}',
+        b'{"event": "RunStarted", "data": [1]}',
+        b'{"event": "RunStarted", "trace_id": 7}',
+        b'{"event": "Run\xffStarted"}',  # not UTF-8
+    ]
+    lines = [b"not json at all", b'{"no": "event key"}', b'["a list"]', *foreign]
+    path.write_bytes(b"\n".join([*lines, good.encode("utf-8"), b'{"torn']) + b"\n")
     entries = read_journal(str(path))
     assert [entry.event for entry in entries] == ["RunStarted"]
+    assert all(parse_journal_line(line) is None for line in lines)
     assert parse_journal_line("") is None
     assert parse_journal_line("{bad") is None
     assert parse_journal_line(good).event == "RunStarted"
@@ -86,8 +89,8 @@ def test_broken_sink_counts_drops_instead_of_raising(tmp_path):
     sink = JournalSink(path)
     sink.close()  # further emits hit a closed handle
     before = dropped_event_count()
-    sink.emit(analysis("App00"))
-    sink.emit(analysis("App01"))
+    sink.emit(compiled("s-v1"))
+    sink.emit(compiled("s-v2"))
     assert dropped_event_count() == before + 2
     assert read_journal(path) == []
 
@@ -121,7 +124,7 @@ def test_concurrent_appends_interleave_but_never_tear(tmp_path):
 
     def hammer(sink, worker):
         for index in range(25):
-            sink.emit(analysis(f"w{worker}-{index}", flows=worker))
+            sink.emit(compiled(f"w{worker}-{index}", worker=f"proc-{worker}"))
 
     threads = [
         threading.Thread(target=hammer, args=(sink, worker))
@@ -135,6 +138,6 @@ def test_concurrent_appends_interleave_but_never_tear(tmp_path):
         sink.close()
     entries = read_journal(path)
     assert len(entries) == 100
-    assert {entry.data["program"] for entry in entries} == {
+    assert {entry.data["spec_id"] for entry in entries} == {
         f"w{worker}-{index}" for worker in range(4) for index in range(25)
     }

@@ -37,7 +37,7 @@ def span_entry(
     )
 
 
-def plain_entry(event="AnalysisFinished", ts=100.0, trace_id=None):
+def plain_entry(event="SpecCompiled", ts=100.0, trace_id=None):
     return JournalEntry(
         ts=ts, trace_id=trace_id, span_id=None, parent_id=None, event=event, data={}
     )
@@ -58,7 +58,7 @@ SAMPLE = [
 def test_summarize_counts_events_traces_and_span_latencies():
     summary = summarize(SAMPLE)
     assert summary["entries"] == 6
-    assert summary["events"] == {"AnalysisFinished": 1, "SpanFinished": 5}
+    assert summary["events"] == {"SpecCompiled": 1, "SpanFinished": 5}
     assert summary["traces"] == 2
     assert summary["window_seconds"] == pytest.approx(12.0)
     check = summary["spans"]["fuzz.check"]

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.engine.events import (
-    AnalysisFinished,
-    BatchFinished,
-    SpecCompiled,
-    SpecReloaded,
-)
+from repro.engine.events import SpecCompiled, SpecReloaded
+from repro.obs.trace import SpanFinished
 from repro.server.metrics import MetricsSink, ServerMetrics, percentile
 
 
@@ -69,16 +65,27 @@ def test_metrics_sink_counts_engine_events():
     sink.emit(SpecReloaded(previous_spec_id="s-v1", spec_id="s-v2"))
     for index in range(3):
         sink.emit(
-            AnalysisFinished(
-                index=index,
-                program=f"App{index:02d}",
+            SpanFinished(
+                name="analysis.analyze",
+                trace_id="t",
+                span_id=f"a{index}",
+                parent_id="b",
+                started_at=0.0,
                 elapsed_seconds=0.01,
-                flows=2,
-                andersen_seconds=0.008,
-                taint_seconds=0.002,
+                attrs=(("flows", "2"), ("program", f"App{index:02d}")),
             )
         )
-    sink.emit(BatchFinished(num_programs=3, elapsed_seconds=0.05, total_flows=6))
+    sink.emit(
+        SpanFinished(
+            name="service.batch",
+            trace_id="t",
+            span_id="b",
+            parent_id=None,
+            started_at=0.0,
+            elapsed_seconds=0.05,
+            attrs=(("executor", "serial"), ("flows", "6"), ("programs", "3")),
+        )
+    )
 
     snapshot = metrics.snapshot()
     assert snapshot["specs"]["compilations"] == 3

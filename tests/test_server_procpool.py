@@ -1,7 +1,8 @@
 """The worker process pool across the fork boundary.
 
 Answers bit-identical to in-process ``handle_request``, one ``SpecCompiled``
-per *process* (never per request), backpressure (``PoolSaturated`` at the
+per *process* (never per request), one result-queue message per request,
+backpressure (``PoolSaturated`` at the
 admission bound), zero-downtime hot reload, after-the-fact shadow
 mirroring, and a dead worker's jobs re-dispatched to a live sibling.
 """
@@ -14,6 +15,7 @@ import pytest
 
 from repro.engine.events import CollectingSink, SpecCompiled, SpecReloaded
 from repro.obs.trace import SpanFinished, TraceContext, new_id
+from repro.server.metrics import ServerMetrics
 from repro.server.procpool import PoolSaturated, ProcessWorkerPool, WorkerLost
 from repro.service.api import AnalyzeRequest, SuiteSpec, handle_request
 from repro.service.store import SpecNotFoundError, SpecStore
@@ -84,6 +86,69 @@ def test_responses_match_inprocess_and_compile_once_per_process(
     compiles = sink.of_type(SpecCompiled)
     assert len(compiles) == 2
     assert {event.worker for event in compiles} == {"proc-0", "proc-1"}
+
+
+def test_each_request_is_one_message_with_the_same_telemetry(
+    tiny_store, library_program, tmp_path
+):
+    sink = CollectingSink()
+    pool = ProcessWorkerPool(
+        tiny_store,
+        processes=2,
+        events=sink,
+        library_program=library_program,
+        analysis_cache_dir=str(tmp_path / "analysis-cache"),
+    )
+    kinds = []
+    dispatch = pool._dispatch_message
+
+    def recording(message):
+        kinds.append(message[0])
+        dispatch(message)
+
+    pool._dispatch_message = recording
+    request = _request()
+    expected_names = {
+        # finish order: the parent's queue wait, then the worker's spans
+        "cold": ["server.queue_wait", "analysis.solve", "analysis.taint",
+                 "analysis.analyze", "service.batch", "service.request"],
+        "hit": ["server.queue_wait", "analysis.solve",
+                "analysis.analyze", "service.batch", "service.request"],
+    }
+    responses = []
+    with pool:
+        assert kinds == ["ready", "ready"]
+        for outcome in ("cold", "hit"):  # the same request twice: the second hits
+            context = TraceContext(trace_id=new_id(), span_id=new_id())
+            before = len(kinds)
+            response = pool.submit(request, context=context).result(timeout=120)
+            responses.append(response)
+            assert kinds[before:] == ["result"]
+            # emitted before the future resolved: no wait needed
+            spans = [
+                event
+                for event in sink.of_type(SpanFinished)
+                if event.trace_id == context.trace_id
+            ]
+            assert [span.name for span in spans] == expected_names[outcome]
+            wait, solve, analyze = spans[0], spans[1], spans[-3]
+            assert wait.parent_id == context.span_id
+            assert wait.attributes()["worker"] in ("proc-0", "proc-1")
+            assert solve.attributes()["outcome"] == outcome
+            assert int(analyze.attributes()["flows"]) == response.result.total_flows
+    assert kinds == ["ready", "ready", "result", "result"]
+
+    metrics = ServerMetrics()
+    for event in sink.events:
+        metrics.record_event(event)
+    snapshot = metrics.snapshot()
+    assert snapshot["analyses"] == {
+        "programs": 2,
+        "flows": sum(response.result.total_flows for response in responses),
+        "batches": 2,
+    }
+    assert snapshot["specs"]["compilations"] == pool.processes
+    assert snapshot["solver"]["by_outcome"] == {"cold": 1, "hit": 1}
 
 
 def test_saturation_raises_instead_of_queueing_unboundedly(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import CollectingSink
-from repro.engine.events import AnalysisFinished
+from repro.obs.trace import SpanFinished, ambient_sink
 from repro.service.analyzer import ClientAnalyzer
 from repro.service.api import (
     AnalyzeRequest,
@@ -60,12 +60,15 @@ def test_request_rejects_malformed_format_values():
 def test_handle_request_end_to_end(store, library_program, interface):
     sink = CollectingSink()
     request = AnalyzeRequest(suite=SuiteSpec(count=3, max_statements=50), workers=2)
-    response = handle_request(
-        request, store, events=sink, library_program=library_program, interface=interface
-    )
+    with ambient_sink(sink):
+        response = handle_request(
+            request, store, library_program=library_program, interface=interface
+        )
     assert response.spec_id == store.latest().spec_id  # latest resolved implicitly
     assert len(response.result.reports) == 3
-    assert len(sink.of_type(AnalysisFinished)) == 3
+    (batch,) = [span for span in sink.of_type(SpanFinished) if span.name == "service.batch"]
+    assert batch.attributes()["programs"] == "3"
+    assert batch.attributes()["flows"] == str(response.result.total_flows)
 
     payload = response.to_dict()
     assert payload["spec_id"] == response.spec_id

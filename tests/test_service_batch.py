@@ -7,14 +7,8 @@ reports bit-identical to serial execution, merged in corpus order.
 import pytest
 
 from repro.benchgen.suite import benchmark_suite
-from repro.engine import CollectingSink
-from repro.engine.events import (
-    AnalysisFinished,
-    AnalysisStarted,
-    BatchFinished,
-    BatchStarted,
-)
 from repro.library import ground_truth_program
+from repro.obs.journal import install_journal, read_journal, uninstall_journal
 from repro.service.analyzer import ClientAnalyzer, FlowReport
 from repro.service.batch import BatchAnalysisScheduler
 
@@ -65,24 +59,32 @@ def test_batch_serial_matches_parallel_bit_for_bit(analyzer, suite):
     assert [report.program for report in parallel.reports] == [app.name for app in suite]
 
 
-def test_batch_emits_structured_telemetry(analyzer, suite):
-    sink = CollectingSink()
-    result = BatchAnalysisScheduler(analyzer, workers=2, events=sink).analyze_apps(suite)
+def test_batch_emits_structured_telemetry(analyzer, suite, tmp_path):
+    # the per-program spans finish in the worker processes, which append
+    # them to the journal the parent installed
+    path = str(tmp_path / "journal.jsonl")
+    install_journal(path)
+    try:
+        result = BatchAnalysisScheduler(analyzer, workers=2).analyze_apps(suite)
+    finally:
+        uninstall_journal(path)
+    spans = [entry for entry in read_journal(path) if entry.is_span]
 
-    (started,) = sink.of_type(BatchStarted)
-    assert started.num_programs == len(suite)
-    assert started.executor == "parallel"
-    assert started.workers == 2
+    def named(name):
+        return [(entry, dict(entry.data["attrs"])) for entry in spans if entry.data["name"] == name]
 
-    assert len(sink.of_type(AnalysisStarted)) == len(suite)
-    finished = sink.of_type(AnalysisFinished)
-    assert {event.index for event in finished} == set(range(len(suite)))
-    assert all(event.elapsed_seconds > 0 for event in finished)
-    assert sum(event.flows for event in finished) == result.total_flows
+    ((batch, batch_attrs),) = named("service.batch")
+    assert batch_attrs["programs"] == str(len(suite))
+    assert batch_attrs["executor"] == "parallel"
+    assert batch_attrs["flows"] == str(result.total_flows)
 
-    (batch_done,) = sink.of_type(BatchFinished)
-    assert batch_done.total_flows == result.total_flows
-    assert batch_done.num_programs == len(suite)
+    analyses = named("analysis.analyze")
+    assert sorted(attrs["program"] for _, attrs in analyses) == sorted(app.name for app in suite)
+    for entry, _ in analyses:
+        assert entry.data["elapsed_seconds"] > 0
+        assert entry.trace_id == batch.trace_id
+        assert entry.parent_id == batch.span_id
+    assert sum(int(attrs["flows"]) for _, attrs in analyses) == result.total_flows
 
 
 def test_empty_batch(analyzer):

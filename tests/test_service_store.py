@@ -1,6 +1,7 @@
 """Tests for the versioned specification store."""
 
 import dataclasses
+import json
 import os
 
 import pytest
@@ -9,6 +10,7 @@ from repro.engine import fsa_equal, program_fingerprint
 from repro.lang.pretty import pretty_program
 from repro.learn import AtlasConfig
 from repro.service.store import (
+    TRANSITION_FORMAT,
     SpecIntegrityError,
     SpecNotFoundError,
     SpecStore,
@@ -160,9 +162,29 @@ def test_fresh_store_verifies_clean(store, tiny_atlas_result, library_program):
 
 def test_truncated_index_line_is_skipped(store, tiny_atlas_result, library_program):
     record = store.put(tiny_atlas_result, library_program=library_program)
-    with open(store.index_path, "a", encoding="utf-8") as handle:
-        handle.write('{"spec_id": "half-')  # interrupted put
+    with open(store.index_path, "ab") as handle:
+        handle.write(b'{"spec_id": "\xff"}\n')  # not UTF-8
+        transition = {"format": TRANSITION_FORMAT, "spec_id": ["x"], "state": "active"}
+        foreign_record = dict(record.to_dict(), spec_id=["x"])
+        for entry in (transition, foreign_record):  # unhashable spec ids
+            handle.write(json.dumps(entry).encode("utf-8") + b"\n")
+        handle.write(b'{"spec_id": "half-')  # interrupted put
     assert [entry.spec_id for entry in store.records()] == [record.spec_id]
+    assert store.latest().spec_id == record.spec_id
+
+
+def test_latest_reads_the_index_once(store, tiny_atlas_result, library_program, monkeypatch):
+    record = store.put(tiny_atlas_result, library_program=library_program)
+    reads = []
+    read_index = SpecStore._read_index
+
+    def counting(self):
+        reads.append(self)
+        return read_index(self)
+
+    monkeypatch.setattr(SpecStore, "_read_index", counting)
+    assert store.latest().spec_id == record.spec_id
+    assert len(reads) == 1
 
 
 def test_provenance_round_trips_and_legacy_records_load(

@@ -60,10 +60,14 @@ def test_worker_shards_share_one_directory(tmp_path):
 def test_torn_and_malformed_lines_are_skipped(tmp_path):
     cache = AnalysisResultCache(str(tmp_path), spec_key="s")
     cache.put("d1", FLOWS)
-    with open(cache.path, "a", encoding="utf-8") as handle:
-        handle.write("{not json\n")
-        handle.write(json.dumps({"format": "other", "spec": "s"}) + "\n")
-        handle.write('{"format": "repro.solve.cache/1", "spec": "s", "digest": "d2"')  # torn
+    with open(cache.path, "ab") as handle:
+        handle.write(b"{not json\n")
+        handle.write(b"[1, 2]\n")
+        handle.write(b'{"format": "repro.solve.cache/1", "spec": "s", "digest": "\xff"}\n')
+        # a foreign format is not an answer, whatever keys it has
+        other = {"format": "other", "spec": "s", "digest": "d1", "flows": []}
+        handle.write(json.dumps(other).encode("utf-8") + b"\n")
+        handle.write(b'{"format": "repro.solve.cache/1", "spec": "s", "digest": "d2"')  # torn
     survivor = AnalysisResultCache(str(tmp_path), spec_key="s")
     assert survivor.get("d1") == FLOWS
     assert len(survivor) == 1
@@ -75,11 +79,13 @@ def test_compaction_drops_superseded_and_malformed_lines(tmp_path):
     cache._memory.pop("d1")  # force a rewrite of the same digest
     cache.put("d1", FLOWS)
     cache.put("d2", [])
-    with open(cache.path, "a", encoding="utf-8") as handle:
-        handle.write("garbage\n")
+    with open(cache.path, "ab") as handle:
+        handle.write(b"garbage\n")
+        handle.write(b'{"spec": ["x"], "digest": "d3", "flows": []}\n')  # unhashable key
+        handle.write(b'{"spec": "s", "digest": "\xff", "flows": []}\n')  # not UTF-8
     stats = compact_analysis_cache_file(cache.path)
-    assert stats.lines_before == 4 and stats.lines_after == 2
-    assert stats.superseded_dropped == 1 and stats.malformed_dropped == 1
+    assert stats.lines_before == 6 and stats.lines_after == 2
+    assert stats.superseded_dropped == 1 and stats.malformed_dropped == 3
     assert AnalysisResultCache(str(tmp_path), spec_key="s").get("d1") == FLOWS
 
 
