@@ -1287,7 +1287,7 @@ def _dispatch(args) -> int:
 
     ``obs`` is the journal's *reader*, so it never writes one; ``serve``
     tees its journal into the server's event fan-out inside :func:`cmd_serve`
-    instead (the worker pool's collector re-emits worker spans there),
+    instead (the worker pool's loop re-emits worker spans there),
     so neither installs the process-global ambient journal here.
     """
     from repro.obs import trace as _trace

@@ -172,6 +172,21 @@ def parse_journal_line(line: Union[str, bytes]) -> Optional[JournalEntry]:
     return _journal_entry(raw) if raw is not None else None
 
 
+def _clock_time(ts) -> bool:
+    """Whether *ts* is a number the local clock can render.
+
+    JSON booleans are not timestamps, and an infinite, NaN or out-of-range
+    ``ts`` would only fail later, in whatever formats it.
+    """
+    if isinstance(ts, bool) or not isinstance(ts, (int, float)):
+        return False
+    try:
+        time.localtime(ts)
+    except (OverflowError, OSError, ValueError):
+        return False
+    return True
+
+
 def _journal_entry(raw: Dict) -> Optional[JournalEntry]:
     """The entry one decoded line describes; ``None`` when a field is foreign."""
     ts = raw.get("ts", 0.0)
@@ -179,7 +194,7 @@ def _journal_entry(raw: Dict) -> Optional[JournalEntry]:
     ids = (raw.get("trace_id"), raw.get("span_id"), raw.get("parent_id"))
     if (
         "event" not in raw
-        or not isinstance(ts, (int, float))
+        or not _clock_time(ts)
         or not isinstance(data, dict)
         or not all(value is None or isinstance(value, str) for value in ids)
     ):

@@ -186,8 +186,8 @@ def reset_ambient_sinks() -> None:
 
     For the child side of a ``fork()``: a pre-forked serving worker inherits
     the parent's ambient sinks (journal tee, metrics) by memory copy, but its
-    telemetry must flow through its result queue to the parent -- which
-    re-emits into those very sinks.  Without this reset every worker-side
+    telemetry must flow through its pipe to the parent -- which re-emits
+    into those very sinks.  Without this reset every worker-side
     span would be delivered twice (once directly into the inherited sink's
     copy, once via the parent), and two processes would interleave writes
     into one journal file.  Thread-local sinks die with the forking thread

@@ -78,7 +78,7 @@ class ShadowCanary:
     """The observer a :class:`~repro.server.procpool.ProcessWorkerPool` mirrors to.
 
     Thread-safe: request threads call :meth:`sample` while the pool's
-    collector thread calls :meth:`observe` / :meth:`observe_error`.
+    loop thread calls :meth:`observe` / :meth:`observe_error`.
     Sampling is seeded, so a given request stream shadows a reproducible
     subset.  ``fraction=1.0`` mirrors everything.
     """

@@ -41,8 +41,8 @@ Example::
 
 from __future__ import annotations
 
+import itertools
 import json
-import queue
 import threading
 import time
 import urllib.error
@@ -273,23 +273,20 @@ def run_load(
 ) -> LoadResult:
     """Fire *total_requests* copies of *request* from *clients* threads.
 
-    Closed-loop: each client thread pulls request numbers off a shared
-    queue, POSTs, and on a 503 sleeps the server's ``Retry-After`` hint
+    Closed-loop: each client thread takes the next request number off a
+    shared counter, POSTs, and on a 503 sleeps the server's ``Retry-After`` hint
     before retrying (up to *max_attempts* attempts per request), so every
     request eventually lands unless the server is down.  Latency is measured
     client-side from the request's **first** attempt.
     """
     payload = json.dumps(request.to_dict()).encode("utf-8")
-    pending: "queue.Queue[int]" = queue.Queue()
-    for index in range(total_requests):
-        pending.put(index)
+    numbers = itertools.count()  # next() on it is atomic under the GIL
     recorder = _Recorder()
 
     def client_loop() -> None:
         while True:
-            try:
-                index = pending.get_nowait()
-            except queue.Empty:
+            index = next(numbers)
+            if index >= total_requests:
                 return
             recorder.run_one(
                 base_url,

@@ -5,6 +5,9 @@ accepted by a single-threaded asyncio event loop (stdlib streams, manual
 HTTP/1.1 framing, keep-alive) and analyzed by a
 :class:`~repro.server.procpool.ProcessWorkerPool` of pre-forked worker
 processes, so throughput scales with cores instead of capping at one GIL.
+The loop is the pool's own (:attr:`~repro.server.procpool.ProcessWorkerPool.loop`):
+the thread that parses a request also writes its job to a worker's pipe,
+reads the reply, and writes the body the worker encoded back unchanged.
 
 ========  ===========  ====================================================
 method    path         body
@@ -82,6 +85,7 @@ from repro.server.procpool import (
     PoolSaturated,
     ProcessWorkerPool,
     WorkerLost,
+    encode_json,
 )
 from repro.service.api import (
     AnalyzeRequest,
@@ -138,12 +142,12 @@ def spec_status(pool, store: SpecStore) -> dict:
 
 def _json(status: int, payload, headers: Optional[Dict[str, str]] = None) -> _Rendered:
     """A JSON response: compact 200s (machine-consumed hot path), readable errors."""
-    rendered = (
-        json.dumps(payload, separators=(",", ":"))
+    body = (
+        encode_json(payload)
         if status == 200
-        else json.dumps(payload, indent=1)
+        else json.dumps(payload, indent=1).encode("utf-8") + b"\n"
     )
-    return status, rendered.encode("utf-8") + b"\n", headers or {}, JSON_CONTENT_TYPE
+    return status, body, headers or {}, JSON_CONTENT_TYPE
 
 
 def _retry_later(error) -> _Rendered:
@@ -156,17 +160,17 @@ def _retry_later(error) -> _Rendered:
     )
 
 
-def _server_timing(future) -> str:
+def _server_timing(timing: Dict[str, float]) -> str:
     """The per-phase breakdown header from the worker's shipped timings."""
     parts = []
-    for phase, attr in (
+    for phase, key in (
         ("queue", "queue_seconds"),
         ("andersen", "andersen_seconds"),
         ("taint", "taint_seconds"),
         ("solve", "solve_seconds"),
         ("analysis", "analysis_seconds"),
     ):
-        seconds = getattr(future, attr, None)
+        seconds = timing.get(key)
         if seconds is not None:
             parts.append(f"{phase};dur={seconds * 1000.0:.3f}")
     return ", ".join(parts)
@@ -176,8 +180,9 @@ class ShardedAnalysisServer:
     """Process pool + metrics + asyncio HTTP front door, one lifecycle.
 
     ``start()`` forks and warms every worker process, begins store polling
-    for hot reload, and serves HTTP from an event loop on a background
-    thread; ``close()`` (or the context manager) tears all of it down.
+    for hot reload, and serves HTTP on the pool's event loop -- the thread
+    that also carries every request to its worker and back; ``close()`` (or
+    the context manager) tears all of it down.
     ``port=0`` binds an ephemeral port, read back from :attr:`address` /
     :attr:`url`.
     """
@@ -222,70 +227,46 @@ class ShardedAnalysisServer:
         )
         self._inflight = 0
         self._leaders: Dict[str, "asyncio.Future[_Rendered]"] = {}
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._loop_ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._shutdown: Optional[asyncio.Event] = None
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._closed = threading.Event()
         self._bound: Optional[Tuple[str, int]] = None
 
     # ----------------------------------------------------------------- lifecycle
     def start(self) -> None:
-        """Warm the worker fleet, bind the socket, serve on a loop thread."""
-        if self._thread is not None:
+        """Warm the worker fleet, then bind the socket and serve on its loop."""
+        if self._server is not None:
             raise RuntimeError("server already started")
         self.pool.start()
         self.pool.start_polling(self.poll_interval)
-        self._loop_ready.clear()
-        self._startup_error = None
-        self._thread = threading.Thread(
-            target=self._run_loop, name="repro-serve-front", daemon=True
-        )
-        self._thread.start()
-        self._loop_ready.wait()
-        if self._startup_error is not None:
-            error = self._startup_error
-            self._thread.join()
-            self._thread = None
-            self.pool.stop()
-            raise error
-
-    def _run_loop(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._shutdown = asyncio.Event()
+        self._closed.clear()
         try:
-            server = await asyncio.start_server(self._handle_client, self.host, self.port)
-        except OSError as error:
-            self._startup_error = error
-            self._loop_ready.set()
-            return
-        self._bound = server.sockets[0].getsockname()[:2]
-        self._loop_ready.set()
-        async with server:
-            await self._shutdown.wait()
+            self._server = asyncio.run_coroutine_threadsafe(
+                asyncio.start_server(self._handle_client, self.host, self.port),
+                self.pool.loop,
+            ).result()
+        except OSError:
+            self.pool.stop()
+            raise
+        self._bound = self._server.sockets[0].getsockname()[:2]
 
     def serve_forever(self) -> None:
         """Block the calling thread until :meth:`close` (or interrupt)."""
-        if self._thread is None:
+        if self._server is None:
             raise RuntimeError("server is not running (call start() first)")
-        self._thread.join()
+        self._closed.wait()
 
     def close(self) -> None:
-        """Stop accepting connections, drain the fleet, stop the workers."""
-        if self._thread is not None and self._loop is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._shutdown.set)
-            except RuntimeError:
-                pass  # loop already closed
-            self._thread.join()
-            self._thread = None
-            self._loop = None
-            self._bound = None
+        """Stop accepting connections, drain the fleet, stop the workers.
+
+        Requests already with a worker are still answered while the fleet
+        drains; connections left open after that are dropped.
+        """
+        if self._server is not None and self.pool.running:
+            self.pool.loop.call_soon_threadsafe(self._server.close)
+        self._server = self._bound = None
         if self.pool.running:  # tolerate close() after a failed start()
             self.pool.stop()
+        self._closed.set()
 
     def __enter__(self) -> "ShardedAnalysisServer":
         self.start()
@@ -532,13 +513,13 @@ class ShardedAnalysisServer:
 
     async def _serve_via_pool(self, request: AnalyzeRequest, context: TraceContext) -> _Rendered:
         try:
-            future = self.pool.submit(request, context=context)
+            reply = self.pool.dispatch(request, context)
         except (PoolSaturated, WorkerLost) as error:
             return _retry_later(error)
         except RuntimeError as error:  # pool stopping: shutdown race ends 503
             return _json(503, {"error": f"server unavailable: {error}"}, {"Retry-After": "1"})
         try:
-            response = await asyncio.wrap_future(future)
+            body, timing = await reply
         except SpecNotFoundError as error:
             return _json(404, {"error": f"unknown spec: {error}"})
         except UnknownAppsError as error:
@@ -547,7 +528,8 @@ class ShardedAnalysisServer:
             return _retry_later(error)
         except Exception as error:  # noqa: BLE001 - the wire needs *some* answer
             return _json(500, {"error": f"analysis failed: {error}"})
-        return _json(200, response.to_dict(), {"Server-Timing": _server_timing(future)})
+        # the worker's bytes, as it encoded them
+        return 200, body, {"Server-Timing": _server_timing(timing)}, JSON_CONTENT_TYPE
 
 
 __all__ = [

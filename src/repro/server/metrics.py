@@ -1,7 +1,7 @@
 """Thread-safe request metrics for the analysis daemon.
 
-One :class:`ServerMetrics` instance is shared by the front door and the
-pool's collector thread in a
+One :class:`ServerMetrics` instance is shared by the pool's loop thread
+(which runs the front door too) and the store poller in a
 :class:`~repro.server.front.ShardedAnalysisServer`; the ``GET /metrics``
 endpoint renders :meth:`ServerMetrics.snapshot` as JSON (the default) or
 :meth:`ServerMetrics.to_prometheus` as the Prometheus text exposition
@@ -67,8 +67,8 @@ class ServerMetrics:
     """Counters and latency percentiles for one daemon instance.
 
     Every mutator takes the registry lock (or the window lock), so the
-    front door's loop thread, the pool's collector thread, and the store
-    poller can all write concurrently; :meth:`snapshot` returns a plain,
+    pool's loop thread (front door included) and the store poller can
+    write concurrently; :meth:`snapshot` returns a plain,
     JSON-serializable dict.
     """
 

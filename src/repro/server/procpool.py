@@ -1,4 +1,4 @@
-"""Pre-forked analysis worker processes behind per-worker job queues.
+"""Pre-forked analysis worker processes, one pipe each, carried by one event loop.
 
 :class:`ProcessWorkerPool` is the serving side of "learn once, query many":
 each worker process compiles the stored spec to a
@@ -7,12 +7,30 @@ each worker process compiles the stored spec to a
 number of requests through :func:`repro.service.api.run_request` -- the same
 cheap half :func:`~repro.service.api.handle_request` uses, so a daemon
 response equals a one-shot response for the same request document.
-Requests are dispatched over a per-worker job queue and results come back
-over one shared result queue; analysis throughput scales with cores instead
-of one GIL.
+Analysis throughput scales with cores instead of one GIL.
 
 Design points worth knowing before reading the code:
 
+* **One pipe per worker, one loop for all of them.**  Each worker owns one
+  duplex :func:`multiprocessing.Pipe`; the worker blocks on its end, the
+  parent's end is non-blocking.  The parent forks every worker *before* it
+  starts any thread, then runs a single asyncio loop on one thread.  That
+  loop writes each job to its worker's pipe, reads every reply and every
+  worker's ``Process.sentinel``, and resolves the waiting request.  Frames
+  use the ``multiprocessing.connection`` length header on both sides, so
+  the worker's plain ``send_bytes`` / ``recv_bytes`` and the loop's partial,
+  non-blocking reads and writes agree; a full pipe (a deep queue to a
+  stopped worker, a reply over the pipe's buffer) waits for room without
+  ever blocking the loop.  The HTTP front door serves on the same loop
+  (:attr:`ProcessWorkerPool.loop`), so a request wakes three threads: the
+  loop, the worker, the loop again.
+* **The worker encodes the 200 body.**  A served reply carries the response
+  already rendered by :func:`encode_json`; the front door writes those
+  bytes as they are (:meth:`ProcessWorkerPool.dispatch` resolves with a
+  :class:`Reply`).  The parent rebuilds an
+  :class:`~repro.service.api.AnalyzeResponse` only when something needs
+  one: a threaded :meth:`ProcessWorkerPool.submit` caller, or a shadow
+  comparison.
 * **Backpressure.**  ``queue_depth`` bounds the outstanding requests across
   the fleet; :meth:`ProcessWorkerPool.submit` raises :class:`PoolSaturated`
   instead of queueing unboundedly, which the front door turns into ``503`` +
@@ -27,26 +45,27 @@ Design points worth knowing before reading the code:
   forcing every process to compile every historical version.  Unpinned
   requests, and requests pinned to the target itself, go to the worker with
   the fewest outstanding jobs.
-* **Dead workers.**  A monitor thread watches every worker's
-  ``Process.sentinel``.  A worker that exits unasked leaves routing, each
-  job it held is re-dispatched once to a live sibling under a fresh job id
-  (so a late result from the dead worker resolves nothing), and a job with
-  no live worker left -- or whose retry dies too -- fails with
-  :class:`WorkerLost`, which the front door turns into ``503`` +
-  ``Retry-After``.
+* **Dead workers.**  When a worker's sentinel turns readable, the loop first
+  reads that worker's pipe to its end, so a reply it finished before dying
+  is delivered rather than retried.  The worker then leaves routing, each
+  job it still held is re-dispatched once to a live sibling under a fresh
+  job id, and a job with no live worker left -- or whose retry dies too --
+  fails with :class:`WorkerLost`, which the front door turns into ``503`` +
+  ``Retry-After``.  A worker has nothing shared to hold when it dies, so
+  its siblings never notice.
 * **One message per reply; telemetry rides it as data.**  A worker holds
   the engine events and finished spans it emits (frozen picklable
   dataclasses) in its ambient sink, and every message it sends --
   ``ready``, ``startup_error``, ``result``, ``shadow`` -- carries what it
-  held since its last one, so a request crosses the result queue once.
-  The parent's collector thread re-emits that telemetry into the pool's
-  sink before it acts on the message -- one journal writer, one metrics
-  registry, and the "compiled once per worker, never once per request"
-  counters keep working, all updated before a client sees its answer.  The
-  queue wait is measured at the worker's dequeue and shipped as the
-  result's ``queue_seconds``; the parent, which holds the request's trace
-  context and enqueue time, builds the ``server.queue_wait`` span from it.
-  The worker resets the fork-inherited ambient sinks first
+  held since its last one, so a request crosses its pipe once each way.
+  The loop re-emits that telemetry into the pool's sink before it acts on
+  the message -- one journal writer, one metrics registry, and the
+  "compiled once per worker, never once per request" counters keep
+  working, all updated before a client sees its answer.  The queue wait is
+  measured at the worker's dequeue and shipped as the result's
+  ``queue_seconds``; the parent, which holds the request's trace context
+  and enqueue time, builds the ``server.queue_wait`` span from it.  The
+  worker resets the fork-inherited ambient sinks first
   (:func:`repro.obs.trace.reset_ambient_sinks`), so nothing is delivered
   twice.
 * **Shadow mirroring stays parent-sampled.**  The parent decides at dispatch
@@ -63,6 +82,10 @@ Design points worth knowing before reading the code:
   trace.  The asyncio front door passes contexts explicitly (thread-local
   ambience is meaningless under task interleaving); threaded callers fall
   back to :func:`repro.obs.trace.current_context`.
+* **Stop.**  :meth:`ProcessWorkerPool.stop` asks every worker to exit after
+  the jobs it holds, keeps delivering their replies meanwhile, reads each
+  pipe to its end once the workers are gone, and only then fails whatever
+  is left.
 
 Example::
 
@@ -74,17 +97,20 @@ Example::
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
+import json
 import multiprocessing
-import queue as queue_module
+import os
+import pickle
 import random
 import signal
+import struct
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass
-from multiprocessing.connection import wait as wait_for_ready
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.engine.cache import program_fingerprint
 from repro.engine.events import CollectingSink, EventSink, NullSink, SpecCompiled, SpecReloaded
@@ -113,6 +139,31 @@ POLL_BACKOFF_CAP_SECONDS = 30.0
 #: proportional jitter added to backed-off delays (desynchronizes daemons
 #: sharing one store so they do not retry a broken filesystem in lockstep)
 POLL_BACKOFF_JITTER = 0.25
+#: a frame's length header, as ``multiprocessing.connection`` writes it: a
+#: 4-byte big-endian length, or -1 and then an 8-byte one past 2 GiB
+_HEADER = struct.Struct("!i")
+_LONG_HEADER = struct.Struct("!Q")
+#: the most the loop reads from one pipe per wake-up
+_READ_CHUNK = 1 << 16
+
+
+def encode_json(payload) -> bytes:
+    """The one encoding of a ``200`` body: compact JSON plus a newline.
+
+    Workers render served responses with it, and the front door renders its
+    own ``200`` documents with it, so both are byte-identical to what a
+    single encoder would write.
+    """
+    return json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
+
+
+def _frame(message) -> bytes:
+    payload = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    return _HEADER.pack(len(payload)) + payload
+
+
+#: the job message that tells a worker to exit
+_STOP = _frame(None)
 
 
 def poll_backoff_delay(interval_seconds: float, failures: int, rng: random.Random) -> float:
@@ -175,17 +226,17 @@ def _evict_stale(analyzers: Dict[str, ClientAnalyzer], protected: set) -> None:
 def _worker_main(
     name: str,
     store_root: str,
-    jobs,
-    results,
+    conn,
     initial_spec_id: str,
     analysis_cache_dir: Optional[str] = None,
 ) -> None:
-    """One pre-forked worker: compile once, then serve jobs until the sentinel.
+    """One pre-forked worker: compile once, then serve jobs until told to stop.
 
     Module-level (not a closure) so the pool works under the ``spawn`` start
     method too; everything it needs arrives as picklable arguments, and the
     library program/interface are rebuilt in-process (they are deterministic,
-    so the fingerprint matches the parent's).
+    so the fingerprint matches the parent's).  *conn* is the worker's end of
+    its pipe; the worker is single-threaded and blocks on it.
     """
     try:  # the parent owns shutdown; a Ctrl-C broadcast must not race it
         signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -198,7 +249,7 @@ def _worker_main(
     def send(kind: str, *fields) -> None:
         """One message to the parent, carrying the telemetry held since the last."""
         telemetry, held.events = held.events, []
-        results.put((kind, name, telemetry, *fields))
+        conn.send_bytes(pickle.dumps((kind, telemetry, *fields), pickle.HIGHEST_PROTOCOL))
 
     try:
         store = SpecStore(store_root)
@@ -239,7 +290,10 @@ def _worker_main(
     send("ready")
 
     while True:
-        message = jobs.get()
+        try:
+            message = pickle.loads(conn.recv_bytes())
+        except EOFError:
+            return  # the parent is gone
         if message is None:
             return
         job_id, request_doc, target_spec_id, context_doc, shadow_spec_id, enqueued_at = message
@@ -278,7 +332,7 @@ def _worker_main(
             taint_seconds=sum(r.timing.taint_seconds for r in reports),
             solve_seconds=sum(r.timing.solve_seconds for r in reports),
         )
-        send("result", job_id, "ok", response.to_dict(), timing)
+        send("result", job_id, "ok", encode_json(response.to_dict()), timing)
         if shadow_spec_id is not None and request.spec_id is None:
             # strictly after the served result shipped: nothing below can
             # affect what the client got
@@ -292,14 +346,63 @@ def _worker_main(
                 send("shadow", job_id, "error", f"{type(error).__name__}: {error}")
 
 
+class Reply(NamedTuple):
+    """A served request as the front door writes it."""
+
+    #: the response as the worker encoded it (:func:`encode_json`)
+    body: bytes
+    #: the worker's phase timings: ``queue_seconds``, ``analysis_seconds``, ...
+    timing: Dict[str, float]
+
+
+@dataclass(eq=False)
+class _Worker:
+    """The parent's side of one worker: its process and its end of the pipe.
+
+    Only the loop reads or writes the (non-blocking) pipe.
+    """
+
+    name: str
+    process: multiprocessing.process.BaseProcess
+    conn: multiprocessing.connection.Connection
+    fd: int
+    #: bytes read that do not make a whole frame yet
+    inbox: bytearray = field(default_factory=bytearray)
+    #: bytes the pipe had no room for yet
+    outbox: bytearray = field(default_factory=bytearray)
+
+    def messages(self) -> List:
+        """Take every whole frame off the inbox, unpickled."""
+        inbox, offset, found = self.inbox, 0, []
+        while True:
+            start = offset + _HEADER.size
+            if start > len(inbox):
+                break
+            (size,) = _HEADER.unpack_from(inbox, offset)
+            if size < 0:
+                start += _LONG_HEADER.size
+                if start > len(inbox):
+                    break
+                (size,) = _LONG_HEADER.unpack_from(inbox, start - _LONG_HEADER.size)
+            if start + size > len(inbox):
+                break
+            found.append(pickle.loads(inbox[start : start + size]))
+            offset = start + size
+        del inbox[:offset]
+        return found
+
+
 @dataclass
 class _Pending:
     """Parent-side state of one dispatched job."""
 
     request: AnalyzeRequest
-    future: Future
+    #: resolved on the loop: with a :class:`Reply` when ``encoded`` (the
+    #: front door's asyncio future), else with an ``AnalyzeResponse``
+    future: Union[Future, "asyncio.Future[Reply]"]
     #: the request's wire form, kept so a dead worker's job can be re-sent
     document: dict
+    encoded: bool = False
     #: the spec id unpinned requests were dispatched under
     target_spec_id: Optional[str] = None
     context: Optional[dict] = None
@@ -309,6 +412,16 @@ class _Pending:
     enqueued_at: float = 0.0
     retried: bool = False
     served: Optional[AnalyzeResponse] = None  # kept only until the shadow lands
+
+
+def _resolve(future, result=None, error: Optional[BaseException] = None) -> None:
+    """Settle a job's future unless its waiter already cancelled it."""
+    if future.done():
+        return
+    if error is not None:
+        future.set_exception(error)
+    else:
+        future.set_result(result)
 
 
 _ERROR_TYPES = {
@@ -346,12 +459,10 @@ class ProcessWorkerPool:
         self._fingerprint = program_fingerprint(self.library_program)
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
-        self._job_queues: List = []
-        self._results = None
-        self._processes: List = []
-        self._collector: Optional[threading.Thread] = None
-        self._monitor: Optional[threading.Thread] = None
-        self._monitor_wakeup = None
+        self._workers: Dict[str, _Worker] = {}
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._thread: Optional[threading.Thread] = None
+        self._closed: Optional[asyncio.Future] = None
         self._lock = threading.Lock()
         self._started = False
         self._job_counter = 0
@@ -368,13 +479,13 @@ class ProcessWorkerPool:
 
     # ----------------------------------------------------------------- lifecycle
     def start(self) -> None:
-        """Fork the fleet and block until every worker has compiled its spec.
+        """Fork the fleet, start the loop, block until every worker compiled its spec.
 
         Raises :class:`~repro.service.store.SpecNotFoundError` when the store
         holds nothing for this library (checked before any fork), and
         ``RuntimeError`` when a worker fails its startup compilation.
         """
-        if self._started or self._processes:
+        if self._started or self._workers:
             raise RuntimeError("pool already started")
         record = self.store.latest(fingerprint=self._fingerprint)
         if record is None:
@@ -385,39 +496,32 @@ class ProcessWorkerPool:
         self._target_spec_id = record.spec_id
         self._startup_errors = []
         self._pending = {}
-        self._results = self._ctx.Queue()
-        self._job_queues = [self._ctx.Queue() for _ in range(self.processes)]
         self._ready_events = {}
         self._outstanding = {}
-        names = [f"proc-{index}" for index in range(self.processes)]
-        for name, jobs in zip(names, self._job_queues):
-            self._ready_events[name] = threading.Event()
-            self._outstanding[name] = 0
+        for index in range(self.processes):
+            name = f"proc-{index}"
+            ours, theirs = self._ctx.Pipe()
             process = self._ctx.Process(
                 target=_worker_main,
-                args=(
-                    name,
-                    str(self.store.root),
-                    jobs,
-                    self._results,
-                    record.spec_id,
-                    self.analysis_cache_dir,
-                ),
+                args=(name, str(self.store.root), theirs, record.spec_id, self.analysis_cache_dir),
                 name=f"repro-serve-{name}",
                 daemon=True,
             )
-            self._processes.append(process)
             process.start()
-        # opened after the forks, so no worker inherits the wake-up pipe
-        wakeup, self._monitor_wakeup = multiprocessing.Pipe(duplex=False)
-        self._monitor = threading.Thread(
-            target=self._monitor_loop, args=(wakeup,), name="repro-serve-monitor", daemon=True
+            # closed before the next fork: only this worker holds its end, so
+            # the pipe ends exactly when the worker does
+            theirs.close()
+            os.set_blocking(ours.fileno(), False)
+            self._workers[name] = _Worker(name, process, ours, ours.fileno())
+            self._ready_events[name] = threading.Event()
+            self._outstanding[name] = 0
+        # every worker is forked: only now does the parent start a thread
+        running = threading.Event()
+        self._thread = threading.Thread(
+            target=asyncio.run, args=(self._serve(running),), name="repro-serve-loop", daemon=True
         )
-        self._monitor.start()
-        self._collector = threading.Thread(
-            target=self._collector_loop, name="repro-serve-collector", daemon=True
-        )
-        self._collector.start()
+        self._thread.start()
+        running.wait()
         deadline = time.monotonic() + STARTUP_TIMEOUT_SECONDS
         for name, event in self._ready_events.items():
             if not event.wait(max(0.0, deadline - time.monotonic())):
@@ -429,46 +533,69 @@ class ProcessWorkerPool:
         with self._lock:
             self._started = True
 
+    async def _serve(self, running: threading.Event) -> None:
+        """The loop thread's body: watch every pipe and sentinel until stop()."""
+        self._loop = loop = asyncio.get_running_loop()
+        self._closed = loop.create_future()
+        for worker in self._workers.values():
+            loop.add_reader(worker.fd, self._receive, worker)
+            loop.add_reader(worker.process.sentinel, self._on_worker_exit, worker)
+        running.set()
+        await self._closed
+
     def stop(self) -> None:
-        """Stop polling, retire every worker, fail any unresolved futures."""
+        """Stop polling, retire every worker, fail any unresolved futures.
+
+        Workers finish the jobs they hold before they exit, and the loop
+        delivers those replies as they arrive.  Once every worker is gone,
+        each pipe is read to its end; whatever is still pending then fails.
+        Call it from any thread but the loop's.
+        """
         self.stop_polling()
         with self._lock:
             self._started = False
-        # the monitor goes first: a worker retiring on its sentinel is not lost
-        if self._monitor is not None:
-            self._monitor_wakeup.send_bytes(b"stop")
-            self._monitor.join()
-            self._monitor_wakeup.close()
-            self._monitor = self._monitor_wakeup = None
-        for jobs in self._job_queues:
-            try:
-                jobs.put(None)
-            except (ValueError, OSError):
-                pass
+        if self._thread is None:
+            return
+        self._on_loop(self._retire_fleet)
         deadline = time.monotonic() + STOP_GRACE_SECONDS
-        for process in self._processes:
+        for worker in self._workers.values():
+            process = worker.process
             process.join(max(0.1, deadline - time.monotonic()))
             if process.is_alive():
                 process.terminate()
                 process.join(5.0)
-        if self._results is not None:
-            self._results.put(("stop",))
-        if self._collector is not None:
-            self._collector.join()
-            self._collector = None
+        self._on_loop(self._settle)
+        self._thread.join()
+        self._thread = self._loop = self._closed = None
+        for worker in self._workers.values():
+            worker.conn.close()
+        self._workers = {}
+
+    def _on_loop(self, function) -> None:
+        """Run *function* on the loop thread and wait until it has run."""
+
+        async def call() -> None:
+            function()
+
+        asyncio.run_coroutine_threadsafe(call(), self._loop).result()
+
+    def _retire_fleet(self) -> None:
+        """Ask every worker to exit after the jobs it holds (on the loop)."""
+        for worker in self._workers.values():
+            # a worker that exits on request is retiring, not lost
+            self._loop.remove_reader(worker.process.sentinel)
+            self._send(worker, _STOP)
+
+    def _settle(self) -> None:
+        """Deliver what the exited workers wrote, fail the rest, end the loop."""
+        for worker in self._workers.values():
+            self._receive(worker, to_eof=True)
         with self._lock:
             stragglers = list(self._pending.values())
             self._pending = {}
         for job in stragglers:
-            if not job.future.done():
-                job.future.set_exception(RuntimeError("pool is shutting down"))
-        for jobs in self._job_queues:
-            jobs.close()
-        if self._results is not None:
-            self._results.close()
-            self._results = None
-        self._job_queues = []
-        self._processes = []
+            _resolve(job.future, error=RuntimeError("pool is shutting down"))
+        self._closed.set_result(None)
 
     def __enter__(self) -> "ProcessWorkerPool":
         self.start()
@@ -481,7 +608,7 @@ class ProcessWorkerPool:
     def submit(
         self, request: AnalyzeRequest, context: Optional[TraceContext] = None
     ) -> "Future[AnalyzeResponse]":
-        """Dispatch one request to a worker process; never blocks.
+        """Dispatch one request to a worker process from any thread; never blocks.
 
         Raises :class:`PoolSaturated` once ``queue_depth`` requests are
         outstanding across the fleet, and :class:`WorkerLost` once no worker
@@ -491,13 +618,34 @@ class ProcessWorkerPool:
         """
         if context is None:
             context = _trace.current_context()
-        shadow = self.shadow
+        job = _Pending(request=request, future=Future(), document=request.to_dict())
+        worker, frame = self._admit(job, context)
+        self._loop.call_soon_threadsafe(self._send, worker, frame)
+        return job.future
+
+    def dispatch(
+        self, request: AnalyzeRequest, context: TraceContext
+    ) -> "asyncio.Future[Reply]":
+        """:meth:`submit` for a caller on the pool's loop: the front door.
+
+        The job is written to its worker's pipe at once, and the returned
+        future resolves on this loop with the worker's encoded body -- no
+        response object is rebuilt.  Raises what :meth:`submit` raises.
+        """
         job = _Pending(
             request=request,
-            future=Future(),
+            future=asyncio.get_running_loop().create_future(),
             document=request.to_dict(),
-            context=context.to_dict() if context is not None else None,
+            encoded=True,
         )
+        self._send(*self._admit(job, context))
+        return job.future
+
+    def _admit(
+        self, job: _Pending, context: Optional[TraceContext]
+    ) -> Tuple[_Worker, bytes]:
+        """Admit *job* under the fleet-wide bound and route it."""
+        job.context = context.to_dict() if context is not None else None
         with self._lock:
             if not self._started:
                 raise RuntimeError("pool is not running (call start() first)")
@@ -506,37 +654,38 @@ class ProcessWorkerPool:
             if not self._outstanding:
                 raise WorkerLost("no live worker process")
             job.target_spec_id = self._target_spec_id
-            if shadow is not None and request.spec_id is None:
+            shadow = self._shadow
+            if shadow is not None and job.request.spec_id is None:
                 try:
                     if shadow.sample():
                         job.shadow_spec_id = shadow.spec_id
                 except Exception:  # noqa: BLE001 - a broken sampler mirrors nothing
                     job.shadow_spec_id = None
-            index, message = self._assign(job)
-        self._job_queues[index].put(message)
-        return job.future
+            return self._assign(job)
 
-    def _assign(self, job: _Pending) -> Tuple[int, tuple]:
-        """Route *job* under a fresh job id; returns (queue index, message).
+    def _assign(self, job: _Pending) -> Tuple[_Worker, bytes]:
+        """Route *job* under a fresh job id; returns its worker and the framed job.
 
         Called with the lock held.
         """
-        worker = self._route(job.request)
+        name = self._route(job.request)
         self._job_counter += 1
         job_id = self._job_counter
-        job.worker = worker
+        job.worker = name
         job.enqueued_at = time.time()
         self._pending[job_id] = job
-        self._outstanding[worker] += 1
-        message = (
-            job_id,
-            job.document,
-            job.target_spec_id,
-            job.context,
-            job.shadow_spec_id,
-            time.perf_counter(),
+        self._outstanding[name] += 1
+        frame = _frame(
+            (
+                job_id,
+                job.document,
+                job.target_spec_id,
+                job.context,
+                job.shadow_spec_id,
+                time.perf_counter(),
+            )
         )
-        return int(worker.rsplit("-", 1)[1]), message
+        return self._workers[name], frame
 
     def _route(self, request: AnalyzeRequest) -> str:
         """Pick a live worker: a stable shard for an id pinned to any spec
@@ -559,33 +708,75 @@ class ProcessWorkerPool:
             self._outstanding[job.worker] -= 1
         return job
 
-    # ------------------------------------------------------------------ monitor
-    def _monitor_loop(self, wakeup) -> None:
-        """Block on the workers' sentinels; hand each unasked exit to
-        :meth:`_on_worker_exit`.  ``stop()`` wakes it through *wakeup*."""
-        sentinels = {
-            process.sentinel: f"proc-{index}" for index, process in enumerate(self._processes)
-        }
-        try:
-            while True:
-                ready = wait_for_ready([wakeup, *sentinels])
-                if wakeup in ready:
-                    return
-                for sentinel in ready:
-                    self._on_worker_exit(sentinels.pop(sentinel))
-        finally:
-            wakeup.close()
+    # ------------------------------------------------------------ the pipes
+    def _send(self, worker: _Worker, frame: bytes) -> None:
+        """Write *frame* to *worker*'s pipe without blocking (on the loop).
 
-    def _on_worker_exit(self, name: str) -> None:
-        """Take a dead worker out of routing and settle every job it held."""
-        index = int(name.rsplit("-", 1)[1])
-        process = self._processes[index]
-        process.join(1.0)  # reap it, so the exit code is known
-        reason = f"worker {name} exited (code {process.exitcode})"
+        What the pipe has no room for waits in the worker's outbox, and the
+        loop writes it as the worker reads.
+        """
+        if worker.outbox:  # earlier bytes still wait: keep the order
+            worker.outbox += frame
+            return
+        try:
+            sent = os.write(worker.fd, frame)
+        except BlockingIOError:
+            sent = 0
+        except OSError:
+            return  # the worker is gone; its sentinel settles the job
+        if sent < len(frame):
+            worker.outbox += frame[sent:]
+            self._loop.add_writer(worker.fd, self._flush, worker)
+
+    def _flush(self, worker: _Worker) -> None:
+        try:
+            sent = os.write(worker.fd, worker.outbox)
+        except BlockingIOError:
+            return
+        except OSError:
+            sent = len(worker.outbox)  # the worker is gone: drop the rest
+        del worker.outbox[:sent]
+        if not worker.outbox:
+            self._loop.remove_writer(worker.fd)
+
+    def _receive(self, worker: _Worker, to_eof: bool = False) -> None:
+        """Read what *worker*'s pipe holds and act on every whole message.
+
+        One read per wake-up: the selector calls again while bytes remain.
+        *to_eof* reads until the pipe is empty, for a worker that has exited.
+        """
+        while True:
+            try:
+                chunk = os.read(worker.fd, _READ_CHUNK)
+            except BlockingIOError:
+                break
+            except OSError:
+                chunk = b""
+            if not chunk:  # the worker has exited
+                self._loop.remove_reader(worker.fd)
+                break
+            worker.inbox += chunk
+            if not to_eof:
+                break
+        for message in worker.messages():
+            self._dispatch_message(worker.name, message)
+
+    # ------------------------------------------------------------- dead workers
+    def _on_worker_exit(self, worker: _Worker) -> None:
+        """Take a worker that exited unasked out of routing; settle its jobs."""
+        self._loop.remove_reader(worker.process.sentinel)
+        # a reply it finished before it died is delivered, not retried
+        self._receive(worker, to_eof=True)
+        self._loop.remove_writer(worker.fd)
+        worker.outbox.clear()
+        worker.process.join(1.0)  # reap it, so the exit code is known
+        reason = f"worker {worker.name} exited (code {worker.process.exitcode})"
         retries, failed, lost_shadows = [], [], []
         with self._lock:
-            self._outstanding.pop(name, None)
-            orphans = [job_id for job_id, job in self._pending.items() if job.worker == name]
+            self._outstanding.pop(worker.name, None)
+            orphans = [
+                job_id for job_id, job in self._pending.items() if job.worker == worker.name
+            ]
             for job_id in orphans:
                 job = self._pending.pop(job_id)
                 if job.served is not None:
@@ -595,16 +786,14 @@ class ProcessWorkerPool:
                 else:
                     job.retried = True
                     retries.append(self._assign(job))
-        # nothing reads this queue any more; never block exit on its feeder
-        self._job_queues[index].cancel_join_thread()
-        ready = self._ready_events[name]
+        ready = self._ready_events[worker.name]
         if not ready.is_set():
             self._startup_errors.append(reason)
             ready.set()
-        for queue_index, message in retries:
-            self._job_queues[queue_index].put(message)
+        for target, frame in retries:
+            self._send(target, frame)
         for job in failed:
-            job.future.set_exception(WorkerLost(reason))
+            _resolve(job.future, error=WorkerLost(reason))
         shadow = self.shadow
         for job in lost_shadows:
             try:
@@ -613,34 +802,11 @@ class ProcessWorkerPool:
             except Exception:  # noqa: BLE001 - observer bugs stay out of serving
                 pass
 
-    # ---------------------------------------------------------------- collector
-    def _collector_loop(self) -> None:
-        """Drain the shared result queue: results, shadows, lifecycle.
-
-        The single place worker messages re-enter the parent -- which is what
-        keeps one journal writer, one metrics registry, and a race-free
-        shadow observer without any cross-process locking.
-        """
-        while True:
-            message = self._results.get()
-            kind = message[0]
-            if kind == "stop":
-                # worker puts and this parent put are not globally ordered
-                # across processes; drain briefly so late results still land
-                while True:
-                    try:
-                        message = self._results.get(timeout=0.2)
-                    except (queue_module.Empty, OSError, ValueError):
-                        return
-                    if message[0] != "stop":
-                        self._dispatch_message(message)
-                return
-            self._dispatch_message(message)
-
-    def _dispatch_message(self, message) -> None:
-        """Act on one worker message ``(kind, worker, telemetry, *fields)``."""
+    # ------------------------------------------------------------------ replies
+    def _dispatch_message(self, worker: str, message) -> None:
+        """Act on one message ``(kind, telemetry, *fields)`` from *worker*."""
         try:
-            kind, worker, telemetry, *fields = message
+            kind, telemetry, *fields = message
             if kind == "result":  # emits the telemetry itself, after queue_wait
                 self._on_result(worker, telemetry, *fields)
                 return
@@ -653,20 +819,17 @@ class ProcessWorkerPool:
                 self._ready_events[worker].set()
             elif kind == "shadow":
                 self._on_shadow(*fields)
-        except Exception:  # noqa: BLE001 - the collector must outlive bad messages
+        except Exception:  # noqa: BLE001 - the loop must outlive bad messages
             pass
 
     def _on_result(
         self, worker: str, telemetry: List, job_id: int, status: str, payload, timing
     ) -> None:
-        response = AnalyzeResponse.from_dict(payload) if status == "ok" else None
         with self._lock:
             job = self._pending.get(job_id)
-            if job is not None:
-                if response is not None and job.shadow_spec_id is not None:
-                    job.served = response  # keep pending until the shadow lands
-                else:
-                    self._retire(job_id)
+            mirrored = job is not None and status == "ok" and job.shadow_spec_id is not None
+            if job is not None and not mirrored:  # a mirrored job waits for its shadow
+                self._retire(job_id)
         if job is not None and job.context is not None:
             self.events.emit(
                 SpanFinished(
@@ -682,16 +845,16 @@ class ProcessWorkerPool:
         for event in telemetry:
             self.events.emit(event)
         if job is None:
-            return  # settled already (its worker died and it was retried)
-        if response is None:
-            error_type = _ERROR_TYPES.get(status, RuntimeError)
-            job.future.set_exception(error_type(payload))
+            return  # settled already
+        if status != "ok":
+            _resolve(job.future, error=_ERROR_TYPES.get(status, RuntimeError)(payload))
             return
-        # timing attributes ride the future (no __slots__), so the front door
-        # renders Server-Timing without changing the submit()/result() contract
-        for key, value in timing.items():
-            setattr(job.future, key, value)
-        job.future.set_result(response)
+        response = None
+        if mirrored or not job.encoded:
+            response = AnalyzeResponse.from_dict(json.loads(payload))
+        if mirrored:
+            job.served = response
+        _resolve(job.future, Reply(payload, timing) if job.encoded else response)
 
     def _on_shadow(self, job_id: int, status: str, payload) -> None:
         with self._lock:
@@ -713,6 +876,14 @@ class ProcessWorkerPool:
     @property
     def running(self) -> bool:
         return self._started
+
+    @property
+    def loop(self) -> Optional[asyncio.AbstractEventLoop]:
+        """The event loop that carries the hop while the pool runs.
+
+        The front door serves HTTP on it and calls :meth:`dispatch` from it.
+        """
+        return self._loop
 
     @property
     def queue_depth(self) -> int:
@@ -820,8 +991,10 @@ __all__ = [
     "POLL_BACKOFF_JITTER",
     "PoolSaturated",
     "ProcessWorkerPool",
+    "Reply",
     "STARTUP_TIMEOUT_SECONDS",
     "STOP_GRACE_SECONDS",
     "WorkerLost",
+    "encode_json",
     "poll_backoff_delay",
 ]

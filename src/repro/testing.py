@@ -140,23 +140,12 @@ def freeze_workers(pool) -> list:
     """SIGSTOP every worker process of a started ``ProcessWorkerPool``.
 
     Jobs sent to a frozen worker wait until ``SIGCONT`` (or its death), which
-    holds requests in flight deterministically.  The freeze lands only while
-    no worker holds the shared result queue's write lock: a worker's feeder
-    thread keeps it a moment after the parent read its last message, and a
-    worker stopped (or killed) there would wedge all its siblings.  Returns
-    the worker processes.
+    holds requests in flight deterministically.  Returns the worker processes.
     """
-    processes = list(pool._processes)
-    lock = pool._results._wlock
-    deadline = time.monotonic() + 30.0
-    while time.monotonic() < deadline:
-        for process in processes:
-            os.kill(process.pid, signal.SIGSTOP)
-        if lock.acquire(timeout=0.05):
-            lock.release()
-            return processes
-        thaw_workers(processes)
-    raise RuntimeError("a worker kept the result queue's write lock for 30 s")
+    processes = [worker.process for worker in pool._workers.values()]
+    for process in processes:
+        os.kill(process.pid, signal.SIGSTOP)
+    return processes
 
 
 def thaw_workers(processes) -> None:

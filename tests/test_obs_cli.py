@@ -144,6 +144,20 @@ def test_obs_tail_prints_one_line_per_entry(sample_journal, capsys):
     assert all("span" in line for line in lines)
 
 
+def test_obs_tail_skips_timestamps_the_clock_cannot_render(tmp_path, capsys):
+    path = tmp_path / "journal.jsonl"
+    good = json.dumps({"ts": 1.0, "event": "RunStarted", "data": {"run": "kept"}})
+    foreign = [
+        f'{{"event": "RunStarted", "ts": {ts}}}'
+        for ts in ("1e300", "-1e300", "Infinity", "NaN", "true")
+    ]
+    path.write_text("\n".join([*foreign, good]) + "\n", encoding="utf-8")
+    assert main(["obs", "tail", "--journal", str(path)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    assert "RunStarted" in lines[0] and "run=kept" in lines[0]
+
+
 def test_obs_commands_fail_cleanly_without_a_journal(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("REPRO_JOURNAL", raising=False)
     assert main(["obs", "summary"]) == 1

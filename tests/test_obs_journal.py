@@ -73,6 +73,12 @@ def test_malformed_and_foreign_lines_are_skipped(tmp_path):
         b'{"event": "RunStarted", "data": [1]}',
         b'{"event": "RunStarted", "trace_id": 7}',
         b'{"event": "Run\xffStarted"}',  # not UTF-8
+        # numbers the local clock cannot render, and a boolean
+        b'{"event": "RunStarted", "ts": 1e300}',
+        b'{"event": "RunStarted", "ts": -1e300}',
+        b'{"event": "RunStarted", "ts": Infinity}',
+        b'{"event": "RunStarted", "ts": NaN}',
+        b'{"event": "RunStarted", "ts": true}',
     ]
     lines = [b"not json at all", b'{"no": "event key"}', b'["a list"]', *foreign]
     path.write_bytes(b"\n".join([*lines, good.encode("utf-8"), b'{"torn']) + b"\n")

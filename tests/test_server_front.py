@@ -144,10 +144,12 @@ def test_unknown_pinned_spec_maps_to_404(front):
     assert "unknown spec" in body["error"]
 
 
-def test_coalesced_followers_get_the_leaders_bytes_verbatim(front):
+def test_coalesced_followers_get_the_leaders_bytes_verbatim(front, wait_until):
     """Concurrent identical requests: one pool submission, N identical
     responses.  Byte identity (not just canonical identity) is the claim --
-    followers receive the leader's rendered body."""
+    followers receive the leader's rendered body.  The workers stay frozen
+    until every follower has joined, so the six requests are concurrent by
+    construction rather than by the luck of thread scheduling."""
     payload = json.dumps(_request(include_timing=True).to_dict()).encode("utf-8")
     results = []
     lock = threading.Lock()
@@ -157,11 +159,15 @@ def test_coalesced_followers_get_the_leaders_bytes_verbatim(front):
         with lock:
             results.append(outcome)
 
+    frozen = freeze_workers(front.pool)  # the leader stays in flight
     threads = [threading.Thread(target=fire) for _ in range(6)]
     for thread in threads:
         thread.start()
+    joined = wait_until(lambda: front.metrics.snapshot()["requests"]["coalesced"] == 5, timeout=30)
+    thaw_workers(frozen)
     for thread in threads:
-        thread.join()
+        thread.join(timeout=60)
+    assert joined and not any(thread.is_alive() for thread in threads)
 
     assert [status for status, _h, _b in results] == [200] * 6
     bodies = {raw for _s, _h, raw in results}
@@ -316,6 +322,36 @@ def test_no_live_worker_left_is_503_with_retry_after(tiny_store, library_program
         assert "no live worker" in body["error"]
         assert server.pool.queue_depth == 0
         assert fetch_json(server.url, "/healthz")["status"] == "ok"
+
+
+def test_close_still_answers_a_request_its_worker_holds(
+    tiny_store, library_program, interface, wait_until
+):
+    """Shutdown lets each worker finish the jobs it holds, and the loop keeps
+    running until their replies are written: the client gets its 200, not a
+    dropped connection."""
+    request = _request()
+    expected = handle_request(
+        request, tiny_store, library_program=library_program, interface=interface
+    )
+    payload = json.dumps(request.to_dict()).encode("utf-8")
+    server = ShardedAnalysisServer(
+        tiny_store, port=0, processes=1, poll_interval=0, library_program=library_program
+    )
+    server.start()
+    frozen = freeze_workers(server.pool)
+    thread, outcome = _post_in_background(server.address, payload)
+    assert wait_until(lambda: server.pool.queue_depth == 1, timeout=30)
+    closer = threading.Thread(target=server.close, daemon=True)
+    closer.start()
+    assert wait_until(lambda: not server.pool.running, timeout=30)  # close() is under way
+    thaw_workers(frozen)
+    closer.join(timeout=60)
+    thread.join(timeout=60)
+    assert not closer.is_alive() and not thread.is_alive()
+    status, _headers, raw = outcome[0]
+    assert status == 200
+    assert canonical_reports(json.loads(raw)) == [r.canonical() for r in expected.result.reports]
 
 
 def test_canonical_request_key_tracks_the_corpus_digest():

@@ -1,15 +1,18 @@
 """The worker process pool across the fork boundary.
 
 Answers bit-identical to in-process ``handle_request``, one ``SpecCompiled``
-per *process* (never per request), one result-queue message per request,
-backpressure (``PoolSaturated`` at the
+per *process* (never per request), one pipe message per request, one parent
+thread for the whole hop, backpressure (``PoolSaturated`` at the
 admission bound), zero-downtime hot reload, after-the-fact shadow
 mirroring, and a dead worker's jobs re-dispatched to a live sibling.
 """
 
+import asyncio
+import multiprocessing
 import os
 import signal
 import threading
+import time
 
 import pytest
 
@@ -17,7 +20,7 @@ from repro.engine.events import CollectingSink, SpecCompiled, SpecReloaded
 from repro.obs.trace import SpanFinished, TraceContext, new_id
 from repro.server.metrics import ServerMetrics
 from repro.server.procpool import PoolSaturated, ProcessWorkerPool, WorkerLost
-from repro.service.api import AnalyzeRequest, SuiteSpec, handle_request
+from repro.service.api import AnalyzeRequest, SuiteSpec, UnknownAppsError, handle_request
 from repro.service.store import SpecNotFoundError, SpecStore
 from repro.testing import freeze_workers, thaw_workers
 
@@ -102,9 +105,9 @@ def test_each_request_is_one_message_with_the_same_telemetry(
     kinds = []
     dispatch = pool._dispatch_message
 
-    def recording(message):
+    def recording(worker, message):  # every message the loop reads off a pipe
         kinds.append(message[0])
-        dispatch(message)
+        dispatch(worker, message)
 
     pool._dispatch_message = recording
     request = _request()
@@ -149,6 +152,52 @@ def test_each_request_is_one_message_with_the_same_telemetry(
     }
     assert snapshot["specs"]["compilations"] == pool.processes
     assert snapshot["solver"]["by_outcome"] == {"cold": 1, "hit": 1}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_the_hop_adds_one_parent_thread_and_workers_run_one(tiny_store, library_program):
+    """No collector, monitor or queue-feeder threads: the parent gains only
+    the loop that carries the hop, and each worker is single-threaded."""
+    before = set(threading.enumerate())
+    pool = ProcessWorkerPool(tiny_store, processes=2, library_program=library_program)
+    with pool:
+        assert pool.submit(_request()).result(timeout=120) is not None
+        added = sorted(thread.name for thread in set(threading.enumerate()) - before)
+        workers = [
+            child
+            for child in multiprocessing.active_children()
+            if child.name.startswith("repro-serve-proc-")
+        ]
+        tasks = {child.name: len(os.listdir(f"/proc/{child.pid}/task")) for child in workers}
+    for retired in ("repro-serve-collector", "repro-serve-monitor"):
+        assert retired not in added
+    assert not [name for name in added if name.startswith("QueueFeederThread")]
+    assert added == ["repro-serve-loop"]
+    assert tasks == {"repro-serve-proc-0": 1, "repro-serve-proc-1": 1}
+
+
+def test_frames_larger_than_the_pipe_cross_without_blocking_the_loop(
+    tiny_store, library_program
+):
+    """A job bigger than the pipe's buffer, sent while its worker is frozen,
+    waits in the parent instead of blocking the loop, and the error reply
+    that echoes its names back takes many reads.  The job queued behind it
+    keeps its place."""
+    names = tuple(f"no-such-app-{index:06d}-" + "x" * 40 for index in range(20000))
+    pool = ProcessWorkerPool(tiny_store, processes=1, library_program=library_program)
+    with pool:
+        frozen = freeze_workers(pool)
+        big = pool.submit(_request(apps=names))  # ~1.2 MB: far over the pipe's buffer
+        small = pool.submit(_request())
+        # the loop still runs callbacks while the big job waits for room
+        asyncio.run_coroutine_threadsafe(asyncio.sleep(0), pool.loop).result(timeout=10)
+        thaw_workers(frozen)
+        with pytest.raises(UnknownAppsError) as excinfo:
+            big.result(timeout=120)
+        assert names[0] in str(excinfo.value) and names[-1] in str(excinfo.value)
+        assert _flows(small.result(timeout=120)) == _flows(
+            handle_request(_request(), tiny_store, library_program=library_program)
+        )
 
 
 def test_saturation_raises_instead_of_queueing_unboundedly(
@@ -321,3 +370,39 @@ def test_dead_workers_lost_shadow_is_reported_and_nothing_hangs(
         assert pool.queue_depth == 0
         with pytest.raises(WorkerLost):
             pool.submit(_request())
+
+
+def test_a_worker_killed_during_a_reply_burst_wedges_nothing(tiny_store, library_program):
+    """Both workers answer a burst at once and one is killed in the middle of
+    it.  Every request still gets exactly one answer -- from the survivor, or
+    from the victim when it finished before it died -- the survivor serves on,
+    and stop() returns promptly."""
+    sink = CollectingSink()
+    expected = _flows(handle_request(_request(), tiny_store, library_program=library_program))
+    pool = ProcessWorkerPool(
+        tiny_store, processes=2, queue_depth=32, events=sink, library_program=library_program
+    )
+    pool.start()
+    try:
+        contexts = [TraceContext(trace_id=new_id(), span_id=new_id()) for _ in range(8)]
+        frozen = freeze_workers(pool)  # least-loaded routing: four jobs on each
+        futures = [pool.submit(_request(), context=context) for context in contexts]
+        thaw_workers(frozen)
+        os.kill(frozen[1].pid, signal.SIGKILL)
+        for future in futures:
+            # proc-0 lives, so every retry lands: no WorkerLost
+            assert _flows(future.result(timeout=60)) == expected
+        served_by = {}
+        for span in sink.of_type(SpanFinished):
+            if span.name == "server.queue_wait":
+                served_by.setdefault(span.trace_id, []).append(span.attributes()["worker"])
+        assert sorted(served_by) == sorted(context.trace_id for context in contexts)
+        assert all(len(workers) == 1 for workers in served_by.values())
+        assert _flows(pool.submit(_request()).result(timeout=60)) == expected
+    finally:
+        stopper = threading.Thread(target=pool.stop, daemon=True)
+        started = time.monotonic()
+        stopper.start()
+        stopper.join(timeout=10)
+    assert not stopper.is_alive(), "stop() wedged"
+    assert time.monotonic() - started < 10
