@@ -23,6 +23,7 @@ from repro.experiments.spec_metrics import compare_languages, covered_functions
 from repro.lang import pretty_class
 from repro.learn import AtlasConfig
 from repro.library import build_interface, build_library_program, ground_truth_fsa
+from repro.obs import ambient_sink
 
 
 def main() -> None:
@@ -34,11 +35,10 @@ def main() -> None:
     config = AtlasConfig(clusters=clusters, enumeration_budget=15_000, seed=11)
     overrides = engine_overrides_from_environment()
     engine = InferenceEngine(
-        cache_dir=overrides.get("cache_dir"),
-        workers=overrides.get("workers", 0),
-        events=StreamSink(sys.stderr),
+        cache_dir=overrides.get("cache_dir"), workers=overrides.get("workers", 0)
     )
-    result = engine.run(config, library_program=library, interface=interface)
+    with ambient_sink(StreamSink(sys.stderr)):
+        result = engine.run(config, library_program=library, interface=interface)
 
     print(f"inference over clusters {clusters}")
     stats = result.oracle_stats

@@ -21,19 +21,23 @@ import tempfile
 from repro.diff import FuzzConfig, run_fuzz
 from repro.engine import StreamSink
 from repro.lang import pretty_program
+from repro.obs import ambient_sink
 from repro.repair import RepairEngine
 from repro.service.store import SpecStore
 
 
 def main() -> int:
-    events = StreamSink(sys.stderr)
+    with ambient_sink(StreamSink(sys.stderr)):
+        return loop()
 
+
+def loop() -> int:
     # ------------------------------------------------------------------ 1. fuzz
     # The campaign that reproduces the known gap: every handler runs concretely
     # on the interpreter (ground truth) and statically through the ground-truth
     # specification pipeline; missed flows are shrunk to counterexamples.
     campaign = FuzzConfig(families=("taint-app",), budget=10, seed=3, sample=1)
-    report = run_fuzz(campaign, events=events, golden_out=None)
+    report = run_fuzz(campaign, golden_out=None)
     print(f"\ncampaign: {report.programs} programs, {len(report.diverged)} diverged")
     for outcome in report.diverged:
         print(f"\n--- counterexample {outcome.name} ({', '.join(outcome.signatures())})")
@@ -48,7 +52,7 @@ def main() -> int:
     # rejects, re-learn the implicated clusters, publish, and re-fuzz.
     with tempfile.TemporaryDirectory() as workdir:
         store = SpecStore(f"{workdir}/specs")
-        engine = RepairEngine(store=store, cache_dir=f"{workdir}/cache", events=events)
+        engine = RepairEngine(store=store, cache_dir=f"{workdir}/cache")
         outcome = engine.repair(report, verify=True)
 
         print(f"\nrepair base: {outcome.base}")

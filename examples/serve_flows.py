@@ -76,8 +76,9 @@ def learn_once(store: SpecStore, args, library, interface) -> str:
         return record.spec_id
 
     print("no stored specification for this library/config -- learning once ...")
-    engine = InferenceEngine(cache_dir=args.cache_dir, events=StreamSink(sys.stderr))
-    result = engine.run(config, library_program=library, interface=interface)
+    engine = InferenceEngine(cache_dir=args.cache_dir)
+    with ambient_sink(StreamSink(sys.stderr)):
+        result = engine.run(config, library_program=library, interface=interface)
     record = store.put(result, library_program=library)
     print(
         f"stored {record.spec_id}: {record.fsa_states} states, "

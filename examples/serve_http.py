@@ -26,6 +26,7 @@ from repro.cli import apply_atlas_overrides
 from repro.engine import InferenceEngine, StreamSink, program_fingerprint
 from repro.experiments.config import QUICK_CONFIG
 from repro.library.registry import build_interface, build_library_program
+from repro.obs.trace import ambient_sink
 from repro.server import ShardedAnalysisServer
 from repro.server.bench import fetch_json, run_load, verify_against_inprocess
 from repro.service import AnalyzeRequest, SpecStore, SuiteSpec, config_digest
@@ -70,8 +71,9 @@ def learn_once(store: SpecStore, args, library, interface) -> str:
         print(f"reusing stored specification {record.spec_id} (no inference needed)")
         return record.spec_id
     print("no stored specification for this library/config -- learning once ...")
-    engine = InferenceEngine(cache_dir=args.cache_dir, events=StreamSink(sys.stderr))
-    result = engine.run(config, library_program=library, interface=interface)
+    engine = InferenceEngine(cache_dir=args.cache_dir)
+    with ambient_sink(StreamSink(sys.stderr)):
+        result = engine.run(config, library_program=library, interface=interface)
     record = store.put(result, library_program=library)
     print(f"stored {record.spec_id}: {record.fsa_states} states")
     return record.spec_id

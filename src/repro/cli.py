@@ -53,6 +53,9 @@ Every subcommand accepts ``--journal PATH`` (default: the ``REPRO_JOURNAL``
 environment variable) to tee its telemetry -- engine events plus the trace
 spans of :mod:`repro.obs` -- into a durable JSONL journal, and each run is
 wrapped in a root ``cli.<command>`` span so one command is one trace.
+``--progress`` prints the same telemetry as lines on stderr: both are
+ambient sinks (:func:`repro.obs.trace.emit` is the one route), installed
+once for the whole command.
 ``repro obs`` reads those journals back: ``tail`` prints (and optionally
 follows) the newest entries, ``summary`` aggregates event counts and span
 latencies, and ``trace <id>`` draws one trace's span tree with its critical
@@ -71,16 +74,7 @@ from typing import List, Optional
 
 from repro.engine import InferenceEngine, StreamSink
 from repro.engine.cache import compact_cache_file
-from repro.obs.trace import ambient_sink
-
-
-def _events(progress: bool):
-    return StreamSink(sys.stderr) if progress else None
-
-
-def _progress_spans(progress: bool):
-    """Scope ``--progress`` lines for a request: its spans, on stderr."""
-    return ambient_sink(StreamSink(sys.stderr)) if progress else nullcontext()
+from repro.obs import trace as _trace
 
 
 def _journal_path(args) -> Optional[str]:
@@ -125,9 +119,7 @@ def cmd_learn(args) -> int:
 
     library = build_library_program()
     interface = build_interface(library)
-    engine = InferenceEngine(
-        cache_dir=args.cache_dir, workers=args.workers, events=_events(args.progress)
-    )
+    engine = InferenceEngine(cache_dir=args.cache_dir, workers=args.workers)
     result = engine.run(_atlas_config(args), library_program=library, interface=interface)
     record = SpecStore(args.store).put(result, library_program=library)
     print(json.dumps(record.to_dict(), sort_keys=True, indent=1))
@@ -150,10 +142,9 @@ def cmd_analyze(args) -> int:
         apps=tuple(args.apps.split(",")) if args.apps else (),
         include_timing=not args.no_timing,
     )
-    with _progress_spans(args.progress):
-        response = handle_request(
-            request, SpecStore(args.store), analysis_cache_dir=args.analysis_cache
-        )
+    response = handle_request(
+        request, SpecStore(args.store), analysis_cache_dir=args.analysis_cache
+    )
     _write_json(response.to_dict(), args.out)
     result = response.result
     sys.stderr.write(
@@ -173,8 +164,7 @@ def cmd_serve_batch(args) -> int:
         with open(args.request, "r", encoding="utf-8") as handle:
             data = json.load(handle)
     request = AnalyzeRequest.from_dict(data)
-    with _progress_spans(args.progress):
-        response = handle_request(request, SpecStore(args.store))
+    response = handle_request(request, SpecStore(args.store))
     _write_json(response.to_dict(), args.out)
     return 0
 
@@ -182,22 +172,9 @@ def cmd_serve_batch(args) -> int:
 def cmd_serve(args) -> int:
     import signal
 
-    from repro.engine.events import FanOutSink
     from repro.server import ShardedAnalysisServer
     from repro.service.store import SpecStore
 
-    # the journal joins the *server's* event fan-out, not the process-global
-    # ambient registry: the worker processes already forward their spans
-    # into ``pool.events``, so an ambient install would double-write them
-    sinks = []
-    if args.progress:
-        sinks.append(StreamSink(sys.stderr))
-    journal = _journal_path(args)
-    if journal:
-        from repro.obs import JournalSink
-
-        sinks.append(JournalSink(journal))
-    events = FanOutSink(sinks) if len(sinks) > 1 else (sinks[0] if sinks else None)
     server = ShardedAnalysisServer(
         SpecStore(args.store),
         host=args.host,
@@ -205,7 +182,6 @@ def cmd_serve(args) -> int:
         processes=args.processes,
         queue_depth=args.queue_depth,
         poll_interval=args.poll_interval,
-        events=events,
         admission_limit=args.admission_limit,
         analysis_cache_dir=args.analysis_cache,
     )
@@ -216,6 +192,7 @@ def cmd_serve(args) -> int:
         f"(spec {server.pool.current_spec_id}, {server.pool.processes} worker processes, "
         f"queue depth {server.pool.queue_capacity})\n"
     )
+    journal = _journal_path(args)
     if journal:
         sys.stderr.write(f"[serve] journaling telemetry to {journal}\n")
     sys.stderr.flush()
@@ -335,7 +312,6 @@ def cmd_fuzz(args) -> int:
     if args.guided:
         report = run_guided_fuzz(
             config,
-            events=_events(args.progress),
             store=store,
             spec_id=args.spec,
             golden_out=None if args.no_golden else args.golden_out,
@@ -344,7 +320,6 @@ def cmd_fuzz(args) -> int:
     else:
         report = run_fuzz(
             config,
-            events=_events(args.progress),
             store=store,
             spec_id=args.spec,
             golden_out=None if args.no_golden else args.golden_out,
@@ -401,7 +376,6 @@ def _run_repair_loop(args, report) -> int:
         store=SpecStore(repair_store),
         cache_dir=args.cache_dir,
         config=RepairConfig(seed=args.seed, workers=args.workers),
-        events=_events(args.progress),
     )
     outcome = engine.repair(report, spec_id=args.spec, verify=True)
     return _summarize_repair(outcome, repair_store)
@@ -460,7 +434,6 @@ def cmd_repair(args) -> int:
         store=SpecStore(args.store),
         cache_dir=args.cache_dir,
         config=RepairConfig(seed=args.seed, workers=args.workers),
-        events=_events(args.progress),
     )
     outcome = engine.repair(data, spec_id=args.spec, verify=args.verify)
     _write_json(outcome.to_dict(include_timing=not args.no_timing), args.out)
@@ -670,7 +643,6 @@ def cmd_obs_trace(args) -> int:
 
 
 def cmd_plane_run(args) -> int:
-    from repro.engine.events import FanOutSink
     from repro.plane import ALL_FAMILIES, CLEAN, PROMOTED, ControlPlane, PlaneConfig
     from repro.service.store import SpecStore
 
@@ -692,20 +664,7 @@ def cmd_plane_run(args) -> int:
         cache_dir=args.cache_dir,
         guided_every=args.guided_every,
     )
-    # tee the journal into the plane's event fan-out: the ambient install
-    # (idempotent, same sink) only receives trace spans, and the deployment
-    # trail -- CandidatePublished, CanaryFinished, SpecPromoted/RolledBack --
-    # is exactly what a post-mortem reads back from the journal
-    sinks = []
-    if args.progress:
-        sinks.append(StreamSink(sys.stderr))
-    journal = _journal_path(args)
-    if journal:
-        from repro.obs import install_journal
-
-        sinks.append(install_journal(journal))
-    events = FanOutSink(sinks) if len(sinks) > 1 else (sinks[0] if sinks else None)
-    plane = ControlPlane(SpecStore(args.store), config=config, events=events)
+    plane = ControlPlane(SpecStore(args.store), config=config)
     cycles = 1 if args.once else args.cycles
     outcomes = plane.run(cycles, interval_seconds=args.interval)
     payload = {
@@ -762,7 +721,7 @@ def cmd_plane_promote(args) -> int:
     from repro.plane import PromotionError, SpecLifecycle
     from repro.service.store import SpecStore, SpecStoreError
 
-    lifecycle = SpecLifecycle(SpecStore(args.store), events=_events(args.progress))
+    lifecycle = SpecLifecycle(SpecStore(args.store))
     try:
         record = lifecycle.promote(args.spec)
     except (PromotionError, SpecStoreError) as error:
@@ -776,7 +735,7 @@ def cmd_plane_rollback(args) -> int:
     from repro.plane import SpecLifecycle
     from repro.service.store import SpecStore, SpecStoreError
 
-    lifecycle = SpecLifecycle(SpecStore(args.store), events=_events(args.progress))
+    lifecycle = SpecLifecycle(SpecStore(args.store))
     try:
         record, restored = lifecycle.rollback(args.spec, reason=args.reason)
     except SpecStoreError as error:
@@ -809,16 +768,16 @@ def cmd_compact_cache(args) -> int:
     if not args.cache_dir and not args.analysis_cache:
         sys.stderr.write("compact-cache: pass --cache-dir and/or --analysis-cache\n")
         return 2
-    # telemetry goes to stderr, like every other engine event
-    sink = StreamSink(sys.stderr)
-    if args.cache_dir:
-        path = os.path.join(args.cache_dir, InferenceEngine.CACHE_FILENAME)
-        sink.emit(CacheCompacted.from_stats(compact_cache_file(path)))
-    if args.analysis_cache:
-        from repro.solve import compact_analysis_cache_dir
+    # the lines are this command's output: printed with or without --journal
+    with _trace.ambient_sink(StreamSink(sys.stderr)):
+        if args.cache_dir:
+            path = os.path.join(args.cache_dir, InferenceEngine.CACHE_FILENAME)
+            _trace.emit(CacheCompacted.from_stats(compact_cache_file(path)))
+        if args.analysis_cache:
+            from repro.solve import compact_analysis_cache_dir
 
-        for stats in compact_analysis_cache_dir(args.analysis_cache):
-            sink.emit(CacheCompacted.from_stats(stats))
+            for stats in compact_analysis_cache_dir(args.analysis_cache):
+                _trace.emit(CacheCompacted.from_stats(stats))
     return 0
 
 
@@ -1283,24 +1242,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args) -> int:
-    """Install the ambient journal, open the root span, run the subcommand.
+    """Install the command's sinks, open the root span, run the subcommand.
 
-    ``obs`` is the journal's *reader*, so it never writes one; ``serve``
-    tees its journal into the server's event fan-out inside :func:`cmd_serve`
-    instead (the worker pool's loop re-emits worker spans there),
-    so neither installs the process-global ambient journal here.
+    The journal and, under ``--progress``, one stderr ``StreamSink`` are
+    process-global ambient sinks for the command's duration, so every engine
+    event and span of the command reaches each of them once.  ``obs`` is the
+    journal's *reader*, so it installs neither.
     """
-    from repro.obs import trace as _trace
+    from repro.obs import install_journal, uninstall_journal
 
     if args.command == "obs":
         return args.func(args)
     journal = _journal_path(args)
-    if journal and args.command != "serve":
-        from repro.obs import install_journal
-
+    if journal:
         install_journal(journal)
-    with _trace.span(f"cli.{args.command}"):
-        return args.func(args)
+    progress = getattr(args, "progress", False)
+    try:
+        with _trace.ambient_sink(StreamSink(sys.stderr)) if progress else nullcontext():
+            with _trace.span(f"cli.{args.command}"):
+                return args.func(args)
+    finally:
+        if journal:
+            uninstall_journal(journal)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -37,10 +37,8 @@ from repro.engine.events import (
     CorpusSeeded,
     CoverageGrown,
     DivergenceShrunk,
-    EventSink,
     FuzzFinished,
     FuzzStarted,
-    NullSink,
     ProgramChecked,
 )
 from repro.engine.executor import make_task_executor
@@ -225,7 +223,6 @@ class GuidedCampaign:
 
 def run_guided_fuzz(
     config: FuzzConfig,
-    events: Optional[EventSink] = None,
     checker: Optional[DifferentialChecker] = None,
     store=None,
     spec_id: Optional[str] = None,
@@ -239,7 +236,6 @@ def run_guided_fuzz(
         from dataclasses import replace as _replace
 
         config = _replace(config, guided=True)
-    events = events if events is not None else NullSink()
     if checker is None:
         checker = build_checker(
             config,
@@ -262,7 +258,7 @@ def run_guided_fuzz(
     campaign = GuidedCampaign(config, checker, coverage_context, mutation_context, seeds)
 
     executor = make_task_executor(config.workers)
-    events.emit(
+    _trace.emit(
         FuzzStarted(
             budget=config.budget,
             families=tuple(config.families),
@@ -272,7 +268,7 @@ def run_guided_fuzz(
             seed=config.seed,
         )
     )
-    events.emit(
+    _trace.emit(
         CorpusSeeded(
             source=seed_corpus or "(none)",
             entries=len(seeds),
@@ -309,7 +305,7 @@ def run_guided_fuzz(
                     # seed); carry the exact program so repair can ingest it
                     outcome.shrunk_program = program
                 outcomes.append(outcome)
-                events.emit(
+                _trace.emit(
                     ProgramChecked(
                         index=slot_index,
                         program=outcome.name,
@@ -320,7 +316,7 @@ def run_guided_fuzz(
                     )
                 )
                 if outcome.diverged and config.shrink:
-                    events.emit(
+                    _trace.emit(
                         DivergenceShrunk(
                             program=outcome.name,
                             signatures=outcome.signatures(),
@@ -331,7 +327,7 @@ def run_guided_fuzz(
                     )
                 grown = campaign.admit(slot_index, outcome, keys, program)
                 if grown is not None:
-                    events.emit(grown)
+                    _trace.emit(grown)
             index += batch
     elapsed = time.perf_counter() - started
 
@@ -350,7 +346,7 @@ def run_guided_fuzz(
         report.corpus_path = write_corpus(
             report.golden, os.path.join(golden_out, config.corpus_filename())
         )
-    events.emit(
+    _trace.emit(
         FuzzFinished(
             programs=report.programs,
             diverged=len(report.diverged),

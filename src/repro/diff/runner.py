@@ -25,10 +25,8 @@ from repro.diff.families import DEFAULT_FAMILIES, generate_scenario, scenario_pl
 from repro.diff.shrink import shrink_program
 from repro.engine.events import (
     DivergenceShrunk,
-    EventSink,
     FuzzFinished,
     FuzzStarted,
-    NullSink,
     ProgramChecked,
 )
 from repro.engine.executor import make_task_executor
@@ -274,19 +272,17 @@ def build_checker(
 
 def run_fuzz(
     config: FuzzConfig,
-    events: Optional[EventSink] = None,
     checker: Optional[DifferentialChecker] = None,
     store=None,
     spec_id: Optional[str] = None,
     golden_out: Optional[str] = None,
 ) -> FuzzReport:
     """Run one differential fuzzing campaign end to end."""
-    events = events if events is not None else NullSink()
     if checker is None:
         checker = build_checker(config, store=store, spec_id=spec_id)
     plan = scenario_plan(config.families, config.budget, config.seed)
     executor = make_task_executor(config.workers)
-    events.emit(
+    _trace.emit(
         FuzzStarted(
             budget=config.budget,
             families=tuple(config.families),
@@ -298,7 +294,7 @@ def run_fuzz(
     )
 
     def on_result(index: int, outcome: DiffOutcome) -> None:
-        events.emit(
+        _trace.emit(
             ProgramChecked(
                 index=index,
                 program=outcome.name,
@@ -309,7 +305,7 @@ def run_fuzz(
             )
         )
         if outcome.shrunk_program is not None:
-            events.emit(
+            _trace.emit(
                 DivergenceShrunk(
                     program=outcome.name,
                     signatures=outcome.signatures(),
@@ -341,7 +337,7 @@ def run_fuzz(
         report.corpus_path = write_corpus(
             report.golden, os.path.join(golden_out, config.corpus_filename())
         )
-    events.emit(
+    _trace.emit(
         FuzzFinished(
             programs=report.programs,
             diverged=len(report.diverged),

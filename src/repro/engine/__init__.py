@@ -10,8 +10,8 @@ across cores:
 * :mod:`repro.engine.executor` -- serial and process-pool cluster execution
   with deterministic seeds and cluster-order merging (parallel runs produce
   bit-identical automata).
-* :mod:`repro.engine.events` -- structured progress/telemetry events with
-  pluggable sinks.
+* :mod:`repro.engine.events` -- structured progress/telemetry events and
+  the sinks :func:`repro.obs.trace.emit` delivers them to.
 * :mod:`repro.engine.persist` -- JSON serialization of learned automata and
   whole inference runs for warm-starting and inspection.
 
@@ -41,11 +41,9 @@ from repro.engine.events import (
     DivergenceShrunk,
     EngineEvent,
     EventSink,
-    FanOutSink,
     FuzzFinished,
     FuzzStarted,
     MethodRelearned,
-    NullSink,
     ProgramChecked,
     RepairStarted,
     RepairVerified,
@@ -77,6 +75,7 @@ from repro.engine.persist import (
     save_atlas_result,
     save_fsa,
 )
+from repro.obs import trace as _trace
 
 import os
 
@@ -94,10 +93,10 @@ class InferenceEngine:
         >>> import sys
         >>> from repro.engine import InferenceEngine, StreamSink
         >>> from repro.learn import AtlasConfig
-        >>> engine = InferenceEngine(
-        ...     cache_dir=".repro-cache", workers=4, events=StreamSink(sys.stderr)
-        ... )
-        >>> result = engine.run(AtlasConfig())
+        >>> from repro.obs import ambient_sink
+        >>> engine = InferenceEngine(cache_dir=".repro-cache", workers=4)
+        >>> with ambient_sink(StreamSink(sys.stderr)):
+        ...     result = engine.run(AtlasConfig())
 
     A second ``engine.run`` with an unchanged library and config answers
     every oracle query from the cache:
@@ -106,15 +105,9 @@ class InferenceEngine:
 
     CACHE_FILENAME = "oracle-cache.jsonl"
 
-    def __init__(
-        self,
-        cache_dir: Optional[str] = None,
-        workers: int = 0,
-        events: Optional[EventSink] = None,
-    ):
+    def __init__(self, cache_dir: Optional[str] = None, workers: int = 0):
         self.cache_dir = cache_dir
         self.workers = workers
-        self.events = events if events is not None else NullSink()
         self.last_cache: Optional[PersistentCache] = None
 
     # ------------------------------------------------------------------ helpers
@@ -155,11 +148,11 @@ class InferenceEngine:
         )
         executor = make_executor(self.workers)
         try:
-            result = atlas.run(executor=executor, events=self.events)
+            result = atlas.run(executor=executor)
         finally:
             if cache is not None:
                 written = cache.flush()
-                self.events.emit(
+                _trace.emit(
                     CacheFlushed(
                         path=cache.path,
                         entries_written=written,
@@ -183,13 +176,11 @@ __all__ = [
     "DivergenceShrunk",
     "EngineEvent",
     "EventSink",
-    "FanOutSink",
     "FuzzFinished",
     "FuzzStarted",
     "InMemoryCache",
     "InferenceEngine",
     "MethodRelearned",
-    "NullSink",
     "ParallelExecutor",
     "ProgramChecked",
     "ParallelTaskExecutor",

@@ -19,11 +19,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
-from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
-from repro.jsonl import json_lines, json_objects
+from repro.jsonl import CompactionStats, compact_json_lines, json_objects
 from repro.lang.pretty import pretty_program
 from repro.lang.program import Program
 from repro.learn.oracle import DEFAULT_MAX_STEPS, DictCache
@@ -183,19 +181,9 @@ class PersistentCache:
 
 
 # ------------------------------------------------------------------ compaction
-@dataclass(frozen=True)
-class CompactionStats:
-    """What a cache-file compaction did."""
-
-    path: str
-    lines_before: int
-    lines_after: int
-    malformed_dropped: int
-    superseded_dropped: int
-
-    @property
-    def lines_dropped(self) -> int:
-        return self.lines_before - self.lines_after
+def _oracle_key(entry: Dict) -> Tuple:
+    bool(entry["result"])  # an entry without an answer is malformed
+    return (entry["fp"], entry["init"], entry["steps"], tuple(entry["word"]))
 
 
 def compact_cache_file(path: str) -> CompactionStats:
@@ -204,57 +192,15 @@ def compact_cache_file(path: str) -> CompactionStats:
     An append-only store accumulates one line per ``put``; a key written twice
     (or a line corrupted by an interrupted run) leaves dead weight that every
     subsequent load must scan.  Compaction keeps the *last* entry per key
-    ``(fingerprint, initialization, max_steps, word)`` -- matching the
-    load-time semantics, where later lines win -- preserves first-seen key
-    order, and replaces the file atomically (write to a temporary file in the
-    same directory, then ``os.replace``) so a crash mid-compaction never
-    loses data.  Entries of every fingerprint sharing the file are preserved.
+    ``(fingerprint, initialization, max_steps, word)`` and replaces the file
+    atomically (:func:`repro.jsonl.compact_json_lines`).  Entries of every
+    fingerprint sharing the file are preserved.
 
-    Compaction is safe against crashes, not against concurrent *writers*:
-    lines appended by another process between the read pass and the replace
-    are lost.  Run it when no other run is flushing this cache (the runner's
-    ``--compact-cache`` therefore compacts after its experiments finish).
+    Run it when no other run is flushing this cache: lines appended between
+    the read pass and the replace are lost (the runner's ``--compact-cache``
+    therefore compacts after its experiments finish).
     """
-    if not os.path.exists(path):
-        return CompactionStats(
-            path=path, lines_before=0, lines_after=0, malformed_dropped=0, superseded_dropped=0
-        )
-
-    lines_before = 0
-    malformed = 0
-    entries: Dict[Tuple, bytes] = {}
-    for line, entry in json_lines(path):
-        lines_before += 1
-        try:  # a line that holds no object (entry is None) fails here too
-            key = (entry["fp"], entry["init"], entry["steps"], tuple(entry["word"]))
-            bool(entry["result"])
-            # the last line for a key wins, but the key keeps its first-seen
-            # position in the rewritten file (dict update preserves insertion);
-            # a list-valued key field fails to hash here
-            entries[key] = line
-        except (KeyError, TypeError):
-            malformed += 1
-
-    directory = os.path.dirname(path) or "."
-    descriptor, temp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".compact-", dir=directory
-    )
-    try:
-        with os.fdopen(descriptor, "wb") as handle:
-            for line in entries.values():
-                handle.write(line + b"\n")
-        os.replace(temp_path, path)
-    except BaseException:
-        if os.path.exists(temp_path):
-            os.unlink(temp_path)
-        raise
-    return CompactionStats(
-        path=path,
-        lines_before=lines_before,
-        lines_after=len(entries),
-        malformed_dropped=malformed,
-        superseded_dropped=lines_before - malformed - len(entries),
-    )
+    return compact_json_lines(path, _oracle_key)
 
 
 def open_oracle_cache(

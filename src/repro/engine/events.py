@@ -1,10 +1,11 @@
 """Structured progress and telemetry events for the execution engine.
 
 Every stage of an engine run emits a typed event (run started, cluster
-started/finished, cache flushed, run finished) to a pluggable *sink*.  Sinks
-are deliberately tiny -- a single ``emit`` method -- so telemetry can be
-routed anywhere: collected in memory for tests, rendered to a terminal for
-progress display, or fanned out to several consumers at once.
+started/finished, cache flushed, run finished) through
+:func:`repro.obs.trace.emit`, which hands it to every installed *sink*.
+Sinks are deliberately tiny -- a single ``emit`` method -- so telemetry can
+be routed anywhere: collected in memory for tests, rendered to a terminal
+for progress display, journaled, or counted by the server's metrics.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from dataclasses import dataclass, field
 from typing import IO, List, Optional, Tuple
 
 # ------------------------------------------------------------- dropped events
-# Sinks must not raise (see EventSink), so when one misbehaves -- or a
-# journal's disk fills -- the event is *dropped*, counted here, and the run
-# continues.  The counter is process-wide and surfaced by the server's
-# Prometheus exposition as ``repro_obs_dropped_events_total``.
+# When a sink misbehaves -- or a journal's disk fills -- the event is
+# *dropped*, counted here, and the run continues.  The counter is
+# process-wide and surfaced by the server's Prometheus exposition as
+# ``repro_obs_dropped_events_total``.
 _DROP_LOCK = threading.Lock()
 _DROPPED_EVENTS = 0
 
@@ -110,7 +111,7 @@ class CacheCompacted(EngineEvent):
 
     @classmethod
     def from_stats(cls, stats) -> "CacheCompacted":
-        """Build the event from a :class:`repro.engine.cache.CompactionStats`."""
+        """Build the event from a :class:`repro.jsonl.CompactionStats`."""
         return cls(
             path=stats.path,
             lines_before=stats.lines_before,
@@ -365,17 +366,10 @@ class SpecRolledBack(EngineEvent):
 
 # ----------------------------------------------------------------------- sinks
 class EventSink:
-    """Receives engine events; implementations must not raise."""
+    """Receives engine events; a sink that raises loses that one event."""
 
     def emit(self, event: EngineEvent) -> None:
         raise NotImplementedError
-
-
-class NullSink(EventSink):
-    """Discards every event (the default when no sink is configured)."""
-
-    def emit(self, event: EngineEvent) -> None:
-        pass
 
 
 class CollectingSink(EventSink):
@@ -410,27 +404,6 @@ class StreamSink(EventSink):
                 self.stream.flush()
         except (OSError, ValueError):  # closed/broken stream: drop, don't abort
             count_dropped_event()
-
-
-class FanOutSink(EventSink):
-    """Broadcasts each event to several sinks, isolating their failures.
-
-    The ``EventSink`` contract says implementations must not raise, but a
-    fan-out is exactly where one misbehaving consumer could otherwise abort
-    an entire engine run mid-cluster.  Each delivery is therefore guarded:
-    a raising sink loses that one event (counted via
-    :func:`count_dropped_event`) and the remaining sinks still receive it.
-    """
-
-    def __init__(self, sinks: List[EventSink]):
-        self.sinks = list(sinks)
-
-    def emit(self, event: EngineEvent) -> None:
-        for sink in self.sinks:
-            try:
-                sink.emit(event)
-            except Exception:
-                count_dropped_event()
 
 
 def _format_event(event: EngineEvent) -> Optional[str]:
@@ -604,13 +577,11 @@ __all__ = [
     "DivergenceShrunk",
     "EngineEvent",
     "EventSink",
-    "FanOutSink",
     "count_dropped_event",
     "dropped_event_count",
     "FuzzFinished",
     "FuzzStarted",
     "MethodRelearned",
-    "NullSink",
     "ProgramChecked",
     "RepairStarted",
     "RepairVerified",

@@ -27,7 +27,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.events import ClusterFinished, ClusterStarted, EventSink, NullSink
+from repro.engine.events import ClusterFinished, ClusterStarted
 from repro.learn.oracle import OracleStats
 from repro.obs import trace as _trace
 
@@ -66,7 +66,7 @@ class ClusterExecutor:
 
     name = "abstract"
 
-    def run(self, atlas: "Atlas", jobs: Sequence[ClusterJob], events: EventSink) -> List[ClusterOutcome]:
+    def run(self, atlas: "Atlas", jobs: Sequence[ClusterJob]) -> List[ClusterOutcome]:
         raise NotImplementedError
 
 
@@ -75,17 +75,17 @@ class SerialExecutor(ClusterExecutor):
 
     name = "serial"
 
-    def run(self, atlas: "Atlas", jobs: Sequence[ClusterJob], events: EventSink) -> List[ClusterOutcome]:
+    def run(self, atlas: "Atlas", jobs: Sequence[ClusterJob]) -> List[ClusterOutcome]:
         outcomes: List[ClusterOutcome] = []
         for job in jobs:
-            events.emit(ClusterStarted(index=job.index, classes=job.classes))
+            _trace.emit(ClusterStarted(index=job.index, classes=job.classes))
             queries_before = atlas.oracle.stats.queries
             hits_before = atlas.oracle.stats.cache_hits
             started = time.perf_counter()
             with _trace.span("engine.cluster", classes="+".join(job.classes)):
                 result = atlas.run_cluster(job.classes, job.seed)
             elapsed = time.perf_counter() - started
-            events.emit(
+            _trace.emit(
                 ClusterFinished(
                     index=job.index,
                     classes=job.classes,
@@ -167,10 +167,9 @@ class ParallelExecutor(ClusterExecutor):
         workers = self.max_workers if self.max_workers else (os.cpu_count() or 1)
         return max(1, min(workers, num_jobs))
 
-    def run(self, atlas: "Atlas", jobs: Sequence[ClusterJob], events: EventSink) -> List[ClusterOutcome]:
+    def run(self, atlas: "Atlas", jobs: Sequence[ClusterJob]) -> List[ClusterOutcome]:
         if not jobs:
             return []
-        events = events or NullSink()
         snapshot = atlas.oracle.cached_results()
         outcomes: Dict[int, ClusterOutcome] = {}
         with ProcessPoolExecutor(
@@ -188,7 +187,7 @@ class ParallelExecutor(ClusterExecutor):
         ) as pool:
             futures = {}
             for job in jobs:
-                events.emit(ClusterStarted(index=job.index, classes=job.classes))
+                _trace.emit(ClusterStarted(index=job.index, classes=job.classes))
                 futures[pool.submit(_worker_run_cluster, job.classes, job.seed)] = job
             pending = set(futures)
             while pending:
@@ -196,7 +195,7 @@ class ParallelExecutor(ClusterExecutor):
                 for future in done:
                     job = futures[future]
                     result, worker_stats, new_entries, elapsed = future.result()
-                    events.emit(
+                    _trace.emit(
                         ClusterFinished(
                             index=job.index,
                             classes=job.classes,

@@ -16,7 +16,7 @@ from repro.benchgen.generator import GeneratedApp
 from repro.benchgen.suite import BenchmarkSuite, benchmark_suite
 from repro.client.sources_sinks import build_framework_program
 from repro.client.taint import InformationFlowAnalysis, InformationFlowReport
-from repro.engine import EventSink, InferenceEngine, PersistentCache
+from repro.engine import InferenceEngine, PersistentCache
 from repro.experiments.config import ExperimentConfig, QUICK_CONFIG
 from repro.learn.oracle import WitnessOracle
 from repro.lang.program import Program
@@ -36,9 +36,8 @@ SPEC_MODES = ("empty", "handwritten", "atlas", "ground_truth", "implementation")
 class ExperimentContext:
     """Lazily builds and caches every artifact the experiments need."""
 
-    def __init__(self, config: Optional[ExperimentConfig] = None, events: Optional[EventSink] = None):
+    def __init__(self, config: Optional[ExperimentConfig] = None):
         self.config = config if config is not None else QUICK_CONFIG
-        self.events = events
         self._library: Optional[Program] = None
         self._interface: Optional[LibraryInterface] = None
         self._framework: Optional[Program] = None
@@ -89,11 +88,7 @@ class ExperimentContext:
     # ------------------------------------------------------------------ specification sets
     def engine(self) -> InferenceEngine:
         """The execution engine configured for this evaluation run."""
-        return InferenceEngine(
-            cache_dir=self.config.cache_dir,
-            workers=self.config.workers,
-            events=self.events,
-        )
+        return InferenceEngine(cache_dir=self.config.cache_dir, workers=self.config.workers)
 
     def oracle_cache(self, initialization: str = "instantiation") -> Optional[PersistentCache]:
         """The shared persistent oracle cache for *initialization* (or ``None``)."""

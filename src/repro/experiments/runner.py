@@ -26,9 +26,10 @@ import argparse
 import os
 import sys
 import time
-from typing import Callable, Dict, List, Optional
+from contextlib import nullcontext
+from typing import Callable, Dict, List
 
-from repro.engine import CacheCompacted, EventSink, InferenceEngine, StreamSink
+from repro.engine import CacheCompacted, InferenceEngine, StreamSink
 from repro.engine.cache import compact_cache_file
 from repro.experiments import design_choices, fig8, fig9a, fig9b, fig9c, ground_truth_eval, spec_counts
 from repro.experiments.config import (
@@ -38,6 +39,7 @@ from repro.experiments.config import (
     apply_engine_environment,
 )
 from repro.experiments.context import ExperimentContext
+from repro.obs.trace import ambient_sink
 
 EXPERIMENTS: Dict[str, Callable[[ExperimentContext], object]] = {
     "fig8": fig8.run,
@@ -50,13 +52,8 @@ EXPERIMENTS: Dict[str, Callable[[ExperimentContext], object]] = {
 }
 
 
-def run_experiments(
-    names: List[str],
-    config: ExperimentConfig,
-    stream=sys.stdout,
-    events: Optional[EventSink] = None,
-) -> None:
-    context = ExperimentContext(config, events=events)
+def run_experiments(names: List[str], config: ExperimentConfig, stream=sys.stdout) -> None:
+    context = ExperimentContext(config)
     try:
         for name in names:
             runner = EXPERIMENTS[name]
@@ -120,9 +117,9 @@ def main(argv: List[str] = None) -> int:
 
     compact_only = args.compact_cache and not args.experiments
     if not compact_only:
-        events = StreamSink(sys.stderr) if args.progress else None
         names = list(args.experiments) or list(EXPERIMENTS)
-        run_experiments(names, config, events=events)
+        with ambient_sink(StreamSink(sys.stderr)) if args.progress else nullcontext():
+            run_experiments(names, config)
 
     if args.compact_cache:
         if config.cache_dir is None:

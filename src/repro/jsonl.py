@@ -1,4 +1,4 @@
-"""Tolerant reading of append-only JSON-lines files.
+"""Tolerant reading and atomic compaction of append-only JSON-lines files.
 
 Four stores in the tree are append-only JSON lines: the oracle cache
 (:mod:`repro.engine.cache`), the analysis cache (:mod:`repro.solve.cache`),
@@ -7,13 +7,18 @@ journal (:mod:`repro.obs.journal`).  Each must survive lines it cannot use:
 a torn tail left by a killed writer, bytes that are not UTF-8, or a foreign
 line that parses as JSON but is not an object.  This module is that shared
 tolerance; each reader still checks its own fields and skips the lines that
-fail them.  It imports nothing from ``repro``, so any layer can use it.
+fail them.  The two caches also share one compaction,
+:func:`compact_json_lines`, and differ only in their key function.  The
+module imports nothing from ``repro``, so any layer can use it.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterator, Optional, Tuple, Union
+import os
+import tempfile
+from dataclasses import dataclass
+from typing import Callable, Dict, Hashable, Iterator, Optional, Tuple, Union
 
 
 def json_object(line: Union[str, bytes]) -> Optional[Dict]:
@@ -49,4 +54,69 @@ def json_objects(path: str) -> Iterator[Dict]:
     return (value for _raw, value in json_lines(path) if value is not None)
 
 
-__all__ = ["json_lines", "json_object", "json_objects"]
+@dataclass(frozen=True)
+class CompactionStats:
+    """What a cache-file compaction did."""
+
+    path: str
+    lines_before: int
+    lines_after: int
+    malformed_dropped: int
+    superseded_dropped: int
+
+    @property
+    def lines_dropped(self) -> int:
+        return self.lines_before - self.lines_after
+
+
+def compact_json_lines(path: str, key: Callable[[Dict], Hashable]) -> CompactionStats:
+    """Rewrite *path* keeping only the last line per ``key(entry)``.
+
+    The last line for a key wins -- matching load semantics, where later
+    lines win -- but the key keeps its first-seen position.  A line is
+    malformed, and dropped, when it holds no JSON object or when *key*
+    raises ``KeyError`` or ``TypeError`` on it (so does a key that cannot
+    be hashed).  The file is replaced atomically (a temporary file in the
+    same directory, then ``os.replace``), so a crash mid-compaction never
+    loses data.  That is safe against crashes, not against concurrent
+    writers: lines appended between the read pass and the replace are lost.
+    A missing file is left missing.
+    """
+    if not os.path.exists(path):
+        return CompactionStats(path, 0, 0, 0, 0)
+    lines_before = malformed = 0
+    entries: Dict[Hashable, bytes] = {}
+    for line, entry in json_lines(path):
+        lines_before += 1
+        try:  # a line that holds no object (entry is None) fails here too
+            entries[key(entry)] = line
+        except (KeyError, TypeError):
+            malformed += 1
+    descriptor, temp_path = tempfile.mkstemp(
+        prefix=os.path.basename(path) + ".compact-", dir=os.path.dirname(path) or "."
+    )
+    try:
+        with os.fdopen(descriptor, "wb") as handle:
+            for line in entries.values():
+                handle.write(line + b"\n")
+        os.replace(temp_path, path)
+    except BaseException:
+        if os.path.exists(temp_path):
+            os.unlink(temp_path)
+        raise
+    return CompactionStats(
+        path=path,
+        lines_before=lines_before,
+        lines_after=len(entries),
+        malformed_dropped=malformed,
+        superseded_dropped=lines_before - malformed - len(entries),
+    )
+
+
+__all__ = [
+    "CompactionStats",
+    "compact_json_lines",
+    "json_lines",
+    "json_object",
+    "json_objects",
+]

@@ -211,35 +211,34 @@ class Atlas:
             enumeration_stats=enumeration_stats,
         )
 
-    def run(self, executor=None, events=None) -> AtlasResult:
+    def run(self, executor=None) -> AtlasResult:
         """Run the full pipeline over every configured cluster.
 
         Clusters are driven through an :mod:`repro.engine.executor` strategy
-        (serial by default); *events* is an optional
-        :class:`repro.engine.events.EventSink` receiving structured progress
-        telemetry.  Per-cluster seeds are derived from the run seed and the
-        cluster index, never from scheduling order, so every executor
-        produces the same automaton.
+        (serial by default), and progress telemetry goes out through
+        :func:`repro.obs.trace.emit`.  Per-cluster seeds are derived from the
+        run seed and the cluster index, never from scheduling order, so every
+        executor produces the same automaton.
         """
-        from repro.engine.events import NullSink, RunFinished, RunStarted
+        from repro.engine.events import RunFinished, RunStarted
         from repro.engine.executor import ClusterJob, SerialExecutor
+        from repro.obs.trace import emit
 
         executor = executor if executor is not None else SerialExecutor()
-        events = events if events is not None else NullSink()
 
         start = time.perf_counter()
         jobs = [
             ClusterJob(index=index, classes=tuple(cluster), seed=self.config.seed + index)
             for index, cluster in enumerate(self.config.clusters)
         ]
-        events.emit(
+        emit(
             RunStarted(
                 num_clusters=len(jobs),
                 executor=executor.name,
                 cache_entries=self.oracle.cache_size(),
             )
         )
-        outcomes = executor.run(self, jobs, events)
+        outcomes = executor.run(self, jobs)
         clusters: List[ClusterResult] = [outcome.result for outcome in outcomes]
 
         combined = fsa_union([cluster.fsa for cluster in clusters])
@@ -249,7 +248,7 @@ class Atlas:
             positives.update(cluster.positives)
 
         elapsed = time.perf_counter() - start
-        events.emit(
+        emit(
             RunFinished(
                 num_clusters=len(jobs),
                 elapsed_seconds=elapsed,

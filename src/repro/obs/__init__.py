@@ -2,7 +2,8 @@
 
 Four pieces, layered on the engine's existing event plumbing:
 
-* :mod:`repro.obs.trace` -- hierarchical spans (``SpanFinished`` is an
+* :mod:`repro.obs.trace` -- :func:`emit`, the one route every engine event
+  takes to the ambient sinks, and hierarchical spans (``SpanFinished`` is an
   ordinary ``EngineEvent``) whose context propagates across threads and the
   parallel-executor process boundary.
 * :mod:`repro.obs.journal` -- a durable, schema-versioned JSONL journal
@@ -50,6 +51,7 @@ from repro.obs.trace import (
     ambient_sink,
     capture,
     current_context,
+    emit,
     new_id,
     remove_ambient_sink,
     span,
@@ -86,6 +88,7 @@ __all__ = [
     "ambient_sink",
     "capture",
     "current_context",
+    "emit",
     "new_id",
     "remove_ambient_sink",
     "span",

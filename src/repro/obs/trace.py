@@ -1,4 +1,4 @@
-"""Hierarchical trace spans that ride the engine's event plumbing.
+"""Hierarchical trace spans, and the one route every engine event takes.
 
 A *span* is one timed, named piece of work.  Spans nest: each carries a
 ``trace_id`` (shared by everything one logical operation did, across threads
@@ -6,14 +6,15 @@ and worker processes), its own ``span_id``, and the ``parent_id`` of the
 enclosing span, so a journal of finished spans reconstructs the full tree of
 one ``repro fuzz --repair`` run or one ``/analyze`` request.
 
-Spans are deliberately *not* a new telemetry channel: a finished span is a
-:class:`SpanFinished` event -- a plain
-:class:`~repro.engine.events.EngineEvent` -- delivered through the same
-:class:`~repro.engine.events.EventSink` interface every other engine event
-uses.  A :class:`~repro.obs.journal.JournalSink` persists them, the server's
-``MetricsSink`` folds them into per-phase latency histograms and counts
-analyses and batches from them, and the progress ``StreamSink`` prints the
-two that describe a served request (``analysis.analyze``, ``service.batch``).
+Spans are deliberately *not* a telemetry channel of their own: a finished
+span is a :class:`SpanFinished` event -- a plain
+:class:`~repro.engine.events.EngineEvent` -- and :func:`emit` delivers it
+exactly like every other engine event.  :func:`emit` is the only route: the
+learner, the fuzzer, the repair engine, the control plane and the server
+all call it, and it hands each event once to every *ambient sink*.  A
+:class:`~repro.obs.journal.JournalSink` persists them, the server's
+``MetricsSink`` folds them into counters and per-phase latency histograms,
+and the progress ``StreamSink`` prints one line per event.
 
 Three propagation mechanisms cover the system's concurrency shapes:
 
@@ -21,20 +22,20 @@ Three propagation mechanisms cover the system's concurrency shapes:
   context in thread-local state, so an inner ``span()`` parents itself under
   the outer one.
 * **Crossing threads** is explicit: capture :func:`current_context` where
-  the work is enqueued and :func:`activate` it in the thread that runs it
-  (the server's worker pool does this per request).
+  the work is enqueued and :func:`activate` it in the thread that runs it.
 * **Crossing processes** is explicit too: :func:`capture` returns a
   picklable state blob the parallel executors ship to worker processes via
   their pool initializers; :func:`adopt` re-establishes the context (and
   re-opens the journal) on the far side, so worker-side spans land in the
   same trace and the same journal file as parent-side ones.
 
-Emission targets are *ambient sinks*: a process-global list (the ``--journal``
-tee installed by the CLI) plus a thread-local list (a server worker thread
-registers its pool's sink), plus an optional explicit ``sink=`` argument.
-With no ambient sinks installed, ``span()`` costs two ``perf_counter`` calls
-and nothing else -- instrumented code does not need to know whether anyone
-is listening.
+Ambient sinks are a process-global set (the CLI's ``--journal`` and
+``--progress`` sinks, a running server's metrics) plus a thread-local set
+(events emitted on the registering thread only, e.g. a test collecting one
+thread's telemetry).  A sink that raises loses that one event, which is
+counted (:func:`repro.engine.events.dropped_event_count`); the other sinks
+still receive it.  With no sink installed, :func:`emit` delivers nothing --
+instrumented code does not need to know whether anyone is listening.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, Optional, Tuple
 
-from repro.engine.events import EngineEvent, EventSink
+from repro.engine.events import EngineEvent, EventSink, count_dropped_event
 
 
 # --------------------------------------------------------------------- identity
@@ -120,10 +121,22 @@ class Span:
 
 
 # ---------------------------------------------------------------- ambient state
-_LOCAL = threading.local()
+class _Local(threading.local):
+    """Per-thread state; the class attributes are each thread's defaults."""
+
+    context: Optional[TraceContext] = None
+    sinks: Tuple[EventSink, ...] = ()
+
+
+_LOCAL = _Local()
 
 _PROCESS_LOCK = threading.Lock()
-_PROCESS_SINKS: List[EventSink] = []
+#: immutable, so :func:`emit` reads it without the lock; add and remove
+#: replace it under the lock.  A sink added twice appears once.
+_PROCESS_SINKS: Tuple[EventSink, ...] = ()
+#: thread-local registrations across all threads; while there are none,
+#: :func:`emit` skips the thread-local lookup (it costs as much as the rest)
+_LOCAL_SINKS_IN_USE = 0
 
 #: journal path the process-global journal sink (if any) writes to; shipped to
 #: worker processes by :func:`capture` so they append to the same file
@@ -132,43 +145,37 @@ _JOURNAL_PATH: Optional[str] = None
 
 def current_context() -> Optional[TraceContext]:
     """The calling thread's trace context, or ``None`` outside any span."""
-    return getattr(_LOCAL, "context", None)
-
-
-def _thread_sinks() -> List[EventSink]:
-    sinks = getattr(_LOCAL, "sinks", None)
-    if sinks is None:
-        sinks = []
-        _LOCAL.sinks = sinks
-    return sinks
+    return _LOCAL.context
 
 
 def add_ambient_sink(sink: EventSink, thread_local: bool = False) -> None:
-    """Register a sink every finished span is delivered to.
+    """Register a sink every emitted event is delivered to.
 
-    Process-global sinks (the default) receive spans from every thread --
-    that is what the CLI's ``--journal`` tee installs.  ``thread_local=True``
-    restricts delivery to spans finished on the *calling* thread, which is
-    how a server worker thread routes its request spans into its own pool's
-    metrics without cross-talking with other servers in the same process.
+    Process-global sinks (the default) receive events from every thread --
+    that is what the CLI's ``--journal`` and ``--progress`` install.
+    ``thread_local=True`` restricts delivery to events emitted on the
+    *calling* thread.
     """
-    if thread_local:
-        _thread_sinks().append(sink)
-        return
+    global _PROCESS_SINKS, _LOCAL_SINKS_IN_USE
     with _PROCESS_LOCK:
-        _PROCESS_SINKS.append(sink)
+        if thread_local:
+            if sink not in _LOCAL.sinks:
+                _LOCAL.sinks += (sink,)
+                _LOCAL_SINKS_IN_USE += 1
+        elif sink not in _PROCESS_SINKS:
+            _PROCESS_SINKS += (sink,)
 
 
 def remove_ambient_sink(sink: EventSink, thread_local: bool = False) -> None:
     """Unregister a sink previously passed to :func:`add_ambient_sink`."""
-    if thread_local:
-        sinks = _thread_sinks()
-        if sink in sinks:
-            sinks.remove(sink)
-        return
+    global _PROCESS_SINKS, _LOCAL_SINKS_IN_USE
     with _PROCESS_LOCK:
-        if sink in _PROCESS_SINKS:
-            _PROCESS_SINKS.remove(sink)
+        if thread_local:
+            if sink in _LOCAL.sinks:
+                _LOCAL.sinks = tuple(s for s in _LOCAL.sinks if s is not sink)
+                _LOCAL_SINKS_IN_USE -= 1
+        else:
+            _PROCESS_SINKS = tuple(s for s in _PROCESS_SINKS if s is not sink)
 
 
 @contextmanager
@@ -182,20 +189,21 @@ def ambient_sink(sink: EventSink, thread_local: bool = False) -> Iterator[EventS
 
 
 def reset_ambient_sinks() -> None:
-    """Drop every process-global ambient sink (and the journal path).
+    """Drop every ambient sink this thread would deliver to (and the journal path).
 
     For the child side of a ``fork()``: a pre-forked serving worker inherits
-    the parent's ambient sinks (journal tee, metrics) by memory copy, but its
-    telemetry must flow through its pipe to the parent -- which re-emits
-    into those very sinks.  Without this reset every worker-side
-    span would be delivered twice (once directly into the inherited sink's
+    the parent's ambient sinks (journal, progress, metrics) by memory copy,
+    but its telemetry must flow through its pipe to the parent -- which
+    re-emits into those very sinks.  Without this reset every worker-side
+    event would be delivered twice (once directly into the inherited sink's
     copy, once via the parent), and two processes would interleave writes
-    into one journal file.  Thread-local sinks die with the forking thread
-    and need no reset.
+    into one journal file.  The calling thread's own sinks go too: the
+    child's one thread is a copy of the thread that forked it.
     """
-    global _JOURNAL_PATH
+    global _JOURNAL_PATH, _PROCESS_SINKS, _LOCAL_SINKS_IN_USE
     with _PROCESS_LOCK:
-        _PROCESS_SINKS.clear()
+        _PROCESS_SINKS = _LOCAL.sinks = ()
+        _LOCAL_SINKS_IN_USE = 0
     _JOURNAL_PATH = None
 
 
@@ -209,31 +217,26 @@ def journal_path() -> Optional[str]:
     return _JOURNAL_PATH
 
 
-def _emit(event: SpanFinished, sink: Optional[EventSink]) -> None:
-    """Deliver to the explicit sink plus every ambient sink, exactly once each."""
-    seen = set()
-    targets: List[EventSink] = []
-    with _PROCESS_LOCK:
-        candidates = list(_PROCESS_SINKS)
-    candidates.extend(_thread_sinks())
-    if sink is not None:
-        candidates.append(sink)
-    for candidate in candidates:
-        if id(candidate) not in seen:
-            seen.add(id(candidate))
-            targets.append(candidate)
-    for target in targets:
-        target.emit(event)
+def emit(event: EngineEvent) -> None:
+    """Deliver *event* once to every process-global and thread-local sink.
+
+    A sink that raises loses this one event (counted by
+    :func:`~repro.engine.events.count_dropped_event`); the remaining sinks
+    still receive it, so one broken consumer never aborts a run.
+    """
+    sinks = _PROCESS_SINKS
+    if _LOCAL_SINKS_IN_USE:
+        sinks += tuple(sink for sink in _LOCAL.sinks if sink not in sinks)
+    for sink in sinks:
+        try:
+            sink.emit(event)
+        except Exception:  # noqa: BLE001 - isolate the sink, keep the run
+            count_dropped_event()
 
 
 # ----------------------------------------------------------------------- spans
 @contextmanager
-def span(
-    name: str,
-    sink: Optional[EventSink] = None,
-    trace_id: Optional[str] = None,
-    **attrs,
-) -> Iterator[Span]:
+def span(name: str, trace_id: Optional[str] = None, **attrs) -> Iterator[Span]:
     """Time one named piece of work as a span of the current trace.
 
     Opens a child of the calling thread's current span (or roots a fresh
@@ -262,7 +265,7 @@ def span(
     finally:
         elapsed = time.perf_counter() - started
         _LOCAL.context = parent
-        _emit(
+        emit(
             SpanFinished(
                 name=name,
                 trace_id=context.trace_id,
@@ -271,8 +274,7 @@ def span(
                 started_at=started_wall,
                 elapsed_seconds=elapsed,
                 attrs=tuple(sorted(active.attrs.items())),
-            ),
-            sink,
+            )
         )
 
 
@@ -340,6 +342,7 @@ __all__ = [
     "ambient_sink",
     "capture",
     "current_context",
+    "emit",
     "journal_path",
     "new_id",
     "remove_ambient_sink",

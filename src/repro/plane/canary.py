@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.diff.corpus import corpus_files, load_corpus
-from repro.engine.events import EventSink, NullSink, ShadowCompared
+from repro.engine.events import ShadowCompared
 from repro.obs import trace as _trace
 from repro.service.analyzer import ClientAnalyzer, flow_to_dict
 from repro.service.api import AnalyzeRequest, AnalyzeResponse, run_request
@@ -88,14 +88,12 @@ class ShadowCanary:
         spec_id: str,
         fraction: float = 0.25,
         seed: int = 2018,
-        events: Optional[EventSink] = None,
         max_details: int = 20,
     ):
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"shadow fraction must be within [0, 1], got {fraction}")
         self.spec_id = spec_id
         self.fraction = fraction
-        self.events = events if events is not None else NullSink()
         self.max_details = max_details
         self._rng = random.Random(seed)
         self._condition = threading.Condition()
@@ -123,7 +121,7 @@ class ShadowCanary:
             elif improved:
                 self._summary.improvements += 1
             self._condition.notify_all()
-        self.events.emit(
+        _trace.emit(
             ShadowCompared(
                 candidate=self.spec_id,
                 programs=len(served.result.reports),
@@ -186,7 +184,6 @@ def replay_shadow(
     incumbent: ClientAnalyzer,
     candidate: ClientAnalyzer,
     requests: Sequence[AnalyzeRequest],
-    events: Optional[EventSink] = None,
 ) -> ShadowSummary:
     """The synthetic shadow gate: mirror a seeded request stream in-process.
 
@@ -194,7 +191,7 @@ def replay_shadow(
     same flow diff -- minus the daemon: a standalone ``repro plane run``
     (CI, cron) canaries candidates without an HTTP server in the loop.
     """
-    shadow = ShadowCanary(candidate.spec_id or "", fraction=1.0, events=events)
+    shadow = ShadowCanary(candidate.spec_id or "", fraction=1.0)
     for request in requests:
         shadow.sample()
         served = run_request(request, incumbent)
@@ -296,7 +293,6 @@ def run_canary(
     candidate: ClientAnalyzer,
     corpus_dir: Optional[str] = None,
     shadow_requests: Sequence[AnalyzeRequest] = (),
-    events: Optional[EventSink] = None,
 ) -> CanaryReport:
     """The standalone canary: golden replay plus a synthetic shadow stream.
 
@@ -315,9 +311,7 @@ def run_canary(
                 report.golden = golden_replay(incumbent, candidate, corpus_dir)
         if shadow_requests:
             with _trace.span("plane.canary.shadow", requests=len(shadow_requests)):
-                report.shadow = replay_shadow(
-                    incumbent, candidate, shadow_requests, events=events
-                )
+                report.shadow = replay_shadow(incumbent, candidate, shadow_requests)
     return report
 
 

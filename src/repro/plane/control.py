@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.engine.cache import program_fingerprint
-from repro.engine.events import CanaryFinished, CanaryStarted, EventSink, NullSink
+from repro.engine.events import CanaryFinished, CanaryStarted
 from repro.library.registry import build_library_program, build_spec_interface
 from repro.obs import trace as _trace
 from repro.plane.canary import CanaryReport, ShadowCanary, run_canary
@@ -122,14 +122,12 @@ class ControlPlane:
         self,
         store: SpecStore,
         config: Optional[PlaneConfig] = None,
-        events: Optional[EventSink] = None,
         library_program=None,
         interface=None,
         pool=None,
     ):
         self.store = store
         self.config = config if config is not None else PlaneConfig()
-        self.events = events if events is not None else NullSink()
         self.library_program = (
             library_program if library_program is not None else build_library_program()
         )
@@ -141,16 +139,14 @@ class ControlPlane:
         self.scheduler = CampaignScheduler(
             store,
             config=self.config.schedule(),
-            events=self.events,
             library_program=self.library_program,
             interface=self.interface,
         )
-        self.lifecycle = SpecLifecycle(store, events=self.events)
+        self.lifecycle = SpecLifecycle(store)
         self.repair_engine = RepairEngine(
             store,
             cache_dir=self.config.cache_dir,
             config=RepairConfig(seed=self.config.seed, workers=self.config.workers),
-            events=self.events,
             library_program=self.library_program,
             interface=self.interface,
         )
@@ -244,7 +240,7 @@ class ControlPlane:
 
     # ------------------------------------------------------------------ canary
     def _canary(self, incumbent: SpecRecord, candidate: SpecRecord) -> CanaryReport:
-        self.events.emit(
+        _trace.emit(
             CanaryStarted(
                 candidate=candidate.spec_id,
                 incumbent=incumbent.spec_id,
@@ -264,10 +260,9 @@ class ControlPlane:
                 candidate_analyzer,
                 corpus_dir=self.config.golden_dir,
                 shadow_requests=self._shadow_stream(),
-                events=self.events,
             )
         decision = self.config.policy.decide(report)
-        self.events.emit(
+        _trace.emit(
             CanaryFinished(
                 candidate=report.candidate,
                 incumbent=report.incumbent,
@@ -289,7 +284,6 @@ class ControlPlane:
                 candidate.spec_id or "",
                 fraction=self.config.shadow_fraction,
                 seed=self.config.seed,
-                events=self.events,
             )
             self.pool.set_shadow(shadow)
             try:

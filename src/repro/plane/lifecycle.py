@@ -24,13 +24,8 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.engine.events import (
-    CandidatePublished,
-    EventSink,
-    NullSink,
-    SpecPromoted,
-    SpecRolledBack,
-)
+from repro.engine.events import CandidatePublished, SpecPromoted, SpecRolledBack
+from repro.obs import trace as _trace
 from repro.service.store import (
     STATE_CANDIDATE,
     STATE_PROMOTED,
@@ -56,13 +51,12 @@ class PromotionError(RuntimeError):
 class SpecLifecycle:
     """Drives one store's version state machine, emitting the event trail."""
 
-    def __init__(self, store: SpecStore, events: Optional[EventSink] = None):
+    def __init__(self, store: SpecStore):
         self.store = store
-        self.events = events if events is not None else NullSink()
 
     def announce_candidate(self, record: SpecRecord, counterexamples: int = 0) -> None:
         """Emit the :class:`CandidatePublished` trail for a fresh candidate."""
-        self.events.emit(
+        _trace.emit(
             CandidatePublished(
                 spec_id=record.spec_id,
                 parent=record.parent or "",
@@ -103,7 +97,7 @@ class SpecLifecycle:
                 rolled_back=True,
             ) from error
         self.store.set_state(spec_id, STATE_PROMOTED, reason="canary passed")
-        self.events.emit(
+        _trace.emit(
             SpecPromoted(
                 spec_id=spec_id, version=record.version, parent=record.parent or ""
             )
@@ -120,7 +114,7 @@ class SpecLifecycle:
         record = self.store.record(spec_id)
         self.store.set_state(spec_id, STATE_ROLLED_BACK, reason=reason)
         restored = self.store.latest(fingerprint=record.fingerprint)
-        self.events.emit(
+        _trace.emit(
             SpecRolledBack(
                 spec_id=spec_id,
                 reason=reason,

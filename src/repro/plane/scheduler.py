@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 from repro.diff.families import DEFAULT_FAMILIES
 from repro.diff.guided import run_guided_fuzz
 from repro.diff.runner import FuzzConfig, FuzzReport, build_checker, run_fuzz
-from repro.engine.events import CampaignFinished, CampaignStarted, EventSink, NullSink
+from repro.engine.events import CampaignFinished, CampaignStarted
 from repro.obs import trace as _trace
 from repro.service.store import SpecStore
 
@@ -48,7 +48,6 @@ class CampaignScheduler:
         self,
         store: SpecStore,
         config: Optional[ScheduleConfig] = None,
-        events: Optional[EventSink] = None,
         library_program=None,
         interface=None,
     ):
@@ -56,7 +55,6 @@ class CampaignScheduler:
         self.config = config if config is not None else ScheduleConfig()
         if not self.config.families:
             raise ValueError("a schedule needs at least one scenario family")
-        self.events = events if events is not None else NullSink()
         self.library_program = library_program
         self.interface = interface
 
@@ -105,7 +103,7 @@ class CampaignScheduler:
     def run_campaign(self, spec_id: str, cycle: int = 0) -> FuzzReport:
         """Fuzz the stored *spec_id* with cycle *cycle*'s campaign."""
         config = self.campaign_config(cycle)
-        self.events.emit(
+        _trace.emit(
             CampaignStarted(
                 cycle=cycle,
                 spec_id=spec_id,
@@ -131,7 +129,6 @@ class CampaignScheduler:
             if config.guided:
                 report = run_guided_fuzz(
                     config,
-                    events=self.events,
                     checker=checker,
                     store=self.store,
                     spec_id=spec_id,
@@ -140,8 +137,8 @@ class CampaignScheduler:
                     interface=self.interface,
                 )
             else:
-                report = run_fuzz(config, events=self.events, checker=checker)
-        self.events.emit(
+                report = run_fuzz(config, checker=checker)
+        _trace.emit(
             CampaignFinished(
                 cycle=cycle,
                 spec_id=spec_id,

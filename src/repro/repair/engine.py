@@ -42,9 +42,7 @@ from repro.diff.truth import ConcreteExecutionError, trace_library_calls
 from repro.engine.cache import encode_word, open_oracle_cache, program_fingerprint
 from repro.engine.events import (
     CacheFlushed,
-    EventSink,
     MethodRelearned,
-    NullSink,
     RepairStarted,
     RepairVerified,
     SpecRepaired,
@@ -240,14 +238,12 @@ class RepairEngine:
         store: Union[SpecStore, str],
         cache_dir: Optional[str] = None,
         config: Optional[RepairConfig] = None,
-        events: Optional[EventSink] = None,
         library_program=None,
         interface=None,
     ):
         self.store = store if isinstance(store, SpecStore) else SpecStore(store)
         self.cache_dir = cache_dir
         self.config = config if config is not None else RepairConfig()
-        self.events = events if events is not None else NullSink()
         self.library_program = (
             library_program if library_program is not None else build_library_program()
         )
@@ -407,7 +403,7 @@ class RepairEngine:
         started = time.perf_counter()
         plan = self.plan(report, base.fsa)
         executor = make_task_executor(self.config.workers)
-        self.events.emit(
+        _trace.emit(
             RepairStarted(
                 pipeline=plan.pipeline,
                 divergences=len(plan.divergences),
@@ -440,7 +436,7 @@ class RepairEngine:
 
             def on_result(index: int, outcome) -> None:
                 result, worker_stats, _entries, elapsed = outcome
-                self.events.emit(
+                _trace.emit(
                     MethodRelearned(
                         index=index,
                         classes=payloads[index][1],
@@ -475,7 +471,7 @@ class RepairEngine:
                 for word, answer in discovered.items():
                     cache.put(word, answer)
                 written = cache.flush()
-                self.events.emit(
+                _trace.emit(
                     CacheFlushed(path=cache.path, entries_written=written, total_entries=len(cache))
                 )
 
@@ -502,7 +498,7 @@ class RepairEngine:
                         provenance=self._provenance(base_description, report, plan),
                         state=state,
                     )
-                self.events.emit(
+                _trace.emit(
                     SpecRepaired(
                         spec_id=record.spec_id,
                         version=record.version,
@@ -547,12 +543,11 @@ class RepairEngine:
         )
         verification = run_fuzz(
             config,
-            events=self.events,
             store=self.store,
             spec_id=record.spec_id,
             golden_out=None,
         )
-        self.events.emit(
+        _trace.emit(
             RepairVerified(
                 spec_id=record.spec_id,
                 programs=verification.programs,

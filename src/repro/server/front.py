@@ -31,7 +31,8 @@ unknown app names, ``404`` for a spec id the store does not hold, ``503`` +
 process is left to answer it, ``500`` for unexpected analysis failures.
 Unframeable input is answered and the connection closed: ``400`` for a bad
 ``Content-Length``, ``413`` for a body over :data:`MAX_BODY_BYTES`, ``414`` /
-``431`` for a request / header line over the stream's line limit.
+``431`` for a request / header line over the stream's line limit, and
+``431`` for more than :data:`MAX_HEADERS` header lines.
 
 Two request-shaping layers live in the front door itself, above the pool's
 bounded queue:
@@ -53,8 +54,8 @@ bounded queue:
 Trace note: the loop handles many requests on one thread, so the
 thread-local ``span()`` context manager would cross-contaminate interleaved
 tasks.  The front door mints each request's :class:`~repro.obs.trace.TraceContext`
-explicitly, ships it to the worker through ``pool.submit(context=...)``, and
-emits the root ``server.request`` span by hand when the response is written.
+explicitly, ships it to the worker through ``pool.dispatch(request, context)``,
+and emits the root ``server.request`` span by hand when the response is written.
 
 Example::
 
@@ -75,7 +76,6 @@ import time
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from repro.engine.events import EventSink, FanOutSink
 from repro.obs import trace as _trace
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.obs.trace import SpanFinished, TraceContext
@@ -104,6 +104,8 @@ DEFAULT_PORT = 8080
 DEFAULT_POLL_INTERVAL_SECONDS = 2.0
 #: the largest request body the door reads; request documents are ~1 KiB
 MAX_BODY_BYTES = 1 << 20
+#: the most header lines the door reads for one request (``http.client``'s limit)
+MAX_HEADERS = 100
 JSON_CONTENT_TYPE = "application/json"
 
 #: (status, body bytes, extra headers, content type) -- one rendered response
@@ -194,7 +196,6 @@ class ShardedAnalysisServer:
         port: int = DEFAULT_PORT,
         processes: int = 2,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
-        events: Optional[EventSink] = None,
         poll_interval: float = DEFAULT_POLL_INTERVAL_SECONDS,
         metrics: Optional[ServerMetrics] = None,
         library_program=None,
@@ -206,15 +207,11 @@ class ShardedAnalysisServer:
         self.port = port
         self.poll_interval = poll_interval
         self.metrics = metrics if metrics is not None else ServerMetrics()
-        sinks: list = [MetricsSink(self.metrics)]
-        if events is not None:
-            sinks.append(events)
-        self.events = FanOutSink(sinks)
+        self._metrics_sink = MetricsSink(self.metrics)
         self.pool = ProcessWorkerPool(
             store,
             processes=processes,
             queue_depth=queue_depth,
-            events=self.events,
             library_program=library_program,
             analysis_cache_dir=analysis_cache_dir,
         )
@@ -233,19 +230,24 @@ class ShardedAnalysisServer:
 
     # ----------------------------------------------------------------- lifecycle
     def start(self) -> None:
-        """Warm the worker fleet, then bind the socket and serve on its loop."""
+        """Warm the worker fleet, then bind the socket and serve on its loop.
+
+        The metrics sink becomes an ambient sink before the fleet forks, so
+        the workers' startup compilations are counted.
+        """
         if self._server is not None:
             raise RuntimeError("server already started")
-        self.pool.start()
-        self.pool.start_polling(self.poll_interval)
-        self._closed.clear()
+        _trace.add_ambient_sink(self._metrics_sink)
         try:
+            self.pool.start()
+            self.pool.start_polling(self.poll_interval)
+            self._closed.clear()
             self._server = asyncio.run_coroutine_threadsafe(
                 asyncio.start_server(self._handle_client, self.host, self.port),
                 self.pool.loop,
             ).result()
-        except OSError:
-            self.pool.stop()
+        except BaseException:
+            self.close()
             raise
         self._bound = self._server.sockets[0].getsockname()[:2]
 
@@ -266,6 +268,7 @@ class ShardedAnalysisServer:
         self._server = self._bound = None
         if self.pool.running:  # tolerate close() after a failed start()
             self.pool.stop()
+        _trace.remove_ambient_sink(self._metrics_sink)
         self._closed.set()
 
     def __enter__(self) -> "ShardedAnalysisServer":
@@ -331,6 +334,7 @@ class ShardedAnalysisServer:
             return _json(400, {"error": "malformed request line"}), True
         method, target, version = parts
         headers: Dict[str, str] = {}
+        lines = 0
         while True:
             try:
                 line = await reader.readline()
@@ -338,6 +342,9 @@ class ShardedAnalysisServer:
                 return _json(431, {"error": "header line too long"}), True
             if line in (b"\r\n", b"\n", b""):
                 break
+            lines += 1
+            if lines > MAX_HEADERS:
+                return _json(431, {"error": f"over {MAX_HEADERS} header lines"}), True
             name, sep, value = line.decode("latin-1").partition(":")
             if sep:
                 headers[name.strip().lower()] = value.strip()
@@ -436,7 +443,7 @@ class ShardedAnalysisServer:
         )
         status, payload, extra, content_type = await self._analyze_inner(body, context)
         elapsed = time.perf_counter() - started
-        self.events.emit(
+        _trace.emit(
             SpanFinished(
                 name="server.request",
                 trace_id=context.trace_id,
@@ -537,6 +544,7 @@ __all__ = [
     "DEFAULT_POLL_INTERVAL_SECONDS",
     "DEFAULT_PORT",
     "MAX_BODY_BYTES",
+    "MAX_HEADERS",
     "ShardedAnalysisServer",
     "spec_status",
 ]

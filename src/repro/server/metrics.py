@@ -9,7 +9,8 @@ endpoint renders :meth:`ServerMetrics.snapshot` as JSON (the default) or
 
 * the HTTP layer records each request's status class and wall-clock latency
   (:meth:`ServerMetrics.record_request`), and
-* :class:`MetricsSink` -- an :class:`~repro.engine.events.EventSink` --
+* :class:`MetricsSink` -- an :class:`~repro.engine.events.EventSink` that
+  the server adds to the process-global ambient sinks while it runs --
   counts the telemetry the workers emit while analyzing.  Every finished
   span (:class:`~repro.obs.trace.SpanFinished`) lands in the per-phase
   latency histogram (``repro_phase_seconds{phase=...}``), and three span
@@ -387,13 +388,13 @@ class ServerMetrics:
 class MetricsSink(EventSink):
     """Routes engine events into a :class:`ServerMetrics` instance.
 
-    Compose it with a :class:`~repro.engine.events.FanOutSink` to keep a
-    progress stream *and* metrics fed from one event flow::
+    Install it beside any other sink -- a progress stream, a journal -- and
+    :func:`repro.obs.trace.emit` feeds each of them from one event flow::
 
-        >>> from repro.engine.events import FanOutSink, StreamSink
-        >>> import sys
+        >>> from repro.obs import ambient_sink
         >>> metrics = ServerMetrics()
-        >>> sink = FanOutSink([MetricsSink(metrics), StreamSink(sys.stderr)])
+        >>> with ambient_sink(MetricsSink(metrics)):
+        ...     pass  # every event emitted here is counted
     """
 
     def __init__(self, metrics: ServerMetrics):

@@ -58,10 +58,11 @@ Design points worth knowing before reading the code:
   dataclasses) in its ambient sink, and every message it sends --
   ``ready``, ``startup_error``, ``result``, ``shadow`` -- carries what it
   held since its last one, so a request crosses its pipe once each way.
-  The loop re-emits that telemetry into the pool's sink before it acts on
-  the message -- one journal writer, one metrics registry, and the
-  "compiled once per worker, never once per request" counters keep
-  working, all updated before a client sees its answer.  The queue wait is
+  The loop re-emits that telemetry (:func:`repro.obs.trace.emit`, to the
+  parent's ambient sinks) before it acts on the message -- one journal
+  writer, one metrics registry, and the "compiled once per worker, never
+  once per request" counters keep working, all updated before a client
+  sees its answer.  The queue wait is
   measured at the worker's dequeue and shipped as the result's
   ``queue_seconds``; the parent, which holds the request's trace context
   and enqueue time, builds the ``server.queue_wait`` span from it.  The
@@ -113,7 +114,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.engine.cache import program_fingerprint
-from repro.engine.events import CollectingSink, EventSink, NullSink, SpecCompiled, SpecReloaded
+from repro.engine.events import CollectingSink, SpecCompiled, SpecReloaded
 from repro.library.registry import build_library_program, build_spec_interface
 from repro.obs import trace as _trace
 from repro.obs.trace import SpanFinished, TraceContext
@@ -442,14 +443,12 @@ class ProcessWorkerPool:
         store: SpecStore,
         processes: int = 2,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
-        events: Optional[EventSink] = None,
         library_program=None,
         analysis_cache_dir: Optional[str] = None,
     ):
         self.store = store
         self.processes = max(1, int(processes))
         self.queue_capacity = max(1, int(queue_depth))
-        self.events = events if events is not None else NullSink()
         self.analysis_cache_dir = analysis_cache_dir
         # parent-side library build is for the fingerprint only; each worker
         # rebuilds its own copy (deterministic, so fingerprints agree)
@@ -811,7 +810,7 @@ class ProcessWorkerPool:
                 self._on_result(worker, telemetry, *fields)
                 return
             for event in telemetry:
-                self.events.emit(event)
+                _trace.emit(event)
             if kind == "ready":
                 self._ready_events[worker].set()
             elif kind == "startup_error":
@@ -831,7 +830,7 @@ class ProcessWorkerPool:
             if job is not None and not mirrored:  # a mirrored job waits for its shadow
                 self._retire(job_id)
         if job is not None and job.context is not None:
-            self.events.emit(
+            _trace.emit(
                 SpanFinished(
                     name="server.queue_wait",
                     trace_id=job.context["trace_id"],
@@ -843,7 +842,7 @@ class ProcessWorkerPool:
                 )
             )
         for event in telemetry:
-            self.events.emit(event)
+            _trace.emit(event)
         if job is None:
             return  # settled already
         if status != "ok":
@@ -941,7 +940,7 @@ class ProcessWorkerPool:
                 return False
             previous = self._target_spec_id
             self._target_spec_id = record.spec_id
-        self.events.emit(SpecReloaded(previous_spec_id=previous or "", spec_id=record.spec_id))
+        _trace.emit(SpecReloaded(previous_spec_id=previous or "", spec_id=record.spec_id))
         return True
 
     def start_polling(self, interval_seconds: float) -> None:

@@ -27,11 +27,9 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine.cache import CompactionStats
-from repro.jsonl import json_lines, json_objects
+from repro.jsonl import CompactionStats, compact_json_lines, json_objects
 
 #: basename stem every cache file in a directory shares
 ANALYSIS_CACHE_BASENAME = "analysis-cache"
@@ -111,53 +109,21 @@ class AnalysisResultCache:
 
 
 # ------------------------------------------------------------------ compaction
+def _analysis_key(entry: Dict) -> Tuple[str, str]:
+    if not isinstance(entry["flows"], list):
+        raise TypeError("flows must be a list")
+    return (entry["spec"], entry["digest"])
+
+
 def compact_analysis_cache_file(path: str) -> CompactionStats:
     """Rewrite one cache file keeping the last entry per ``(spec, digest)`` key.
 
-    Same contract as :func:`repro.engine.cache.compact_cache_file`: last
-    line per key wins (matching load semantics), first-seen key order is
-    preserved, and the file is replaced atomically so a crash mid-compaction
-    never loses data.  Safe against crashes, not concurrent writers -- run it
-    when no daemon is appending to this directory.
+    Same contract as :func:`repro.engine.cache.compact_cache_file`
+    (:func:`repro.jsonl.compact_json_lines`): safe against crashes, not
+    concurrent writers -- run it when no daemon is appending to this
+    directory.
     """
-    if not os.path.exists(path):
-        return CompactionStats(
-            path=path, lines_before=0, lines_after=0, malformed_dropped=0, superseded_dropped=0
-        )
-
-    lines_before = 0
-    malformed = 0
-    entries: Dict[Tuple[str, str], bytes] = {}
-    for line, entry in json_lines(path):
-        lines_before += 1
-        try:  # a line that holds no object (entry is None) fails here too
-            key = (entry["spec"], entry["digest"])
-            if not isinstance(entry["flows"], list):
-                raise TypeError("flows must be a list")
-            entries[key] = line  # a list-valued key field fails to hash here
-        except (KeyError, TypeError):
-            malformed += 1
-
-    directory = os.path.dirname(path) or "."
-    descriptor, temp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".compact-", dir=directory
-    )
-    try:
-        with os.fdopen(descriptor, "wb") as handle:
-            for line in entries.values():
-                handle.write(line + b"\n")
-        os.replace(temp_path, path)
-    except BaseException:
-        if os.path.exists(temp_path):
-            os.unlink(temp_path)
-        raise
-    return CompactionStats(
-        path=path,
-        lines_before=lines_before,
-        lines_after=len(entries),
-        malformed_dropped=malformed,
-        superseded_dropped=lines_before - malformed - len(entries),
-    )
+    return compact_json_lines(path, _analysis_key)
 
 
 def compact_analysis_cache_dir(directory: str) -> List[CompactionStats]:

@@ -136,6 +136,20 @@ def wait_until():
     return _wait
 
 
+@pytest.fixture
+def global_sink():
+    """A collecting sink every event emitted in this process reaches.
+
+    Process-global, not thread-local: a worker pool re-emits its workers'
+    telemetry on its loop thread, and its store poller runs on another.
+    """
+    from repro.engine.events import CollectingSink
+    from repro.obs.trace import ambient_sink
+
+    with ambient_sink(CollectingSink()) as sink:
+        yield sink
+
+
 def freeze_workers(pool) -> list:
     """SIGSTOP every worker process of a started ``ProcessWorkerPool``.
 

@@ -19,6 +19,7 @@ from repro.testing import (  # noqa: E402,F401 - fixtures discovered via this na
     core,
     framework_program,
     fresh_ground_truth_analyzer,
+    global_sink,
     ground_truth_analyzer,
     handwritten_analyzer,
     implementation_analyzer,

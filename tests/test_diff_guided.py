@@ -21,6 +21,7 @@ import pytest
 from repro.diff.guided import run_guided_fuzz
 from repro.diff.runner import FuzzConfig, build_checker, run_fuzz
 from repro.engine.events import CollectingSink, CorpusSeeded, CoverageGrown
+from repro.obs.trace import ambient_sink
 from repro.plane.lifecycle import seed_store
 from repro.service.store import SpecStore
 from repro.testing import GOLDEN_DIR
@@ -36,9 +37,9 @@ _GUIDED = dict(
 )
 
 
-def _guided(workers=0, events=None, **overrides):
+def _guided(workers=0, **overrides):
     config = FuzzConfig(**{**_GUIDED, "workers": workers, **overrides})
-    return run_guided_fuzz(config, events=events, seed_corpus=GOLDEN_DIR)
+    return run_guided_fuzz(config, seed_corpus=GOLDEN_DIR)
 
 
 # -------------------------------------------------------------- determinism
@@ -71,8 +72,8 @@ def test_guided_report_round_trips_with_coverage():
 
 # ---------------------------------------------------------------- telemetry
 def test_guided_campaign_journals_seeding_and_coverage_growth():
-    sink = CollectingSink()
-    _guided(events=sink)
+    with ambient_sink(CollectingSink(), thread_local=True) as sink:
+        _guided()
     seeded = [e for e in sink.events if isinstance(e, CorpusSeeded)]
     grown = [e for e in sink.events if isinstance(e, CoverageGrown)]
     assert len(seeded) == 1 and seeded[0].entries > 0

@@ -11,6 +11,7 @@ from repro.engine.events import (
     FuzzStarted,
     ProgramChecked,
 )
+from repro.obs.trace import ambient_sink
 
 
 def _checker(analyzer, library_program, pipeline):
@@ -22,10 +23,10 @@ def _checker(analyzer, library_program, pipeline):
 def test_campaign_covers_all_default_families_and_emits_telemetry(
     ground_truth_analyzer, library_program
 ):
-    sink = CollectingSink()
     config = FuzzConfig(budget=6, seed=7, cross_check=False, sample=2)
     checker = _checker(ground_truth_analyzer, library_program, "ground_truth")
-    report = run_fuzz(config, events=sink, checker=checker)
+    with ambient_sink(CollectingSink(), thread_local=True) as sink:
+        report = run_fuzz(config, checker=checker)
 
     assert report.programs == 6
     assert report.families_covered() == (
@@ -56,12 +57,12 @@ def test_parallel_report_is_bit_identical_to_serial(ground_truth_analyzer, libra
 def test_handwritten_campaign_shrinks_and_freezes_counterexamples(
     handwritten_analyzer, library_program, tmp_path
 ):
-    sink = CollectingSink()
     config = FuzzConfig(
         budget=4, seed=7, pipeline="handwritten", cross_check=False, sample=1
     )
     checker = _checker(handwritten_analyzer, library_program, "handwritten")
-    report = run_fuzz(config, events=sink, checker=checker, golden_out=str(tmp_path))
+    with ambient_sink(CollectingSink(), thread_local=True) as sink:
+        report = run_fuzz(config, checker=checker, golden_out=str(tmp_path))
 
     assert report.diverged, "the handwritten specs must miss some planted flow"
     assert not report.unshrunk

@@ -7,13 +7,13 @@ from repro.engine.events import (
     ClusterFinished,
     ClusterStarted,
     CollectingSink,
-    FanOutSink,
-    NullSink,
     RunFinished,
     RunStarted,
     StreamSink,
 )
-from repro.obs.trace import SpanFinished
+from repro.obs.trace import SpanFinished, ambient_sink, emit
+
+SAMPLE_TYPES = (RunStarted, ClusterStarted, ClusterFinished, CacheFlushed, RunFinished)
 
 
 def _sample_events():
@@ -41,10 +41,16 @@ def _sample_events():
     ]
 
 
+def _sampled(sink):
+    """What *sink* received of the sample's event types (ambient sinks may
+    also see whatever else this process emits meanwhile)."""
+    return [event for event in sink.events if isinstance(event, SAMPLE_TYPES)]
+
+
 def test_null_sink_swallows_everything():
-    sink = NullSink()
+    """With no sink listening, emit() delivers nothing and never raises."""
     for event in _sample_events():
-        sink.emit(event)  # must not raise
+        emit(event)  # must not raise
 
 
 def test_collecting_sink_records_and_filters():
@@ -89,12 +95,14 @@ def test_stream_sink_prints_the_two_request_spans():
 
 
 def test_fan_out_sink_broadcasts():
-    first, second = CollectingSink(), CollectingSink()
-    fan_out = FanOutSink([first, second])
-    for event in _sample_events():
-        fan_out.emit(event)
-    assert first.events == second.events
-    assert len(first.events) == 5
+    """emit() hands each event once to every ambient sink, process-global
+    and thread-local, even to one registered both ways."""
+    first, second, both = CollectingSink(), CollectingSink(), CollectingSink()
+    with ambient_sink(first), ambient_sink(second, thread_local=True):
+        with ambient_sink(both), ambient_sink(both, thread_local=True):
+            for event in _sample_events():
+                emit(event)
+    assert _sampled(first) == _sampled(second) == _sampled(both) == _sample_events()
 
 
 # ----------------------------------------------------------- sink isolation
@@ -108,16 +116,17 @@ def test_fan_out_isolates_a_misbehaving_sink():
     """One broken sink must not starve its siblings of telemetry."""
     from repro.engine.events import dropped_event_count
 
-    before_first, healthy, before_last = CollectingSink(), CollectingSink(), None
+    before_first, healthy = CollectingSink(), CollectingSink()
     exploding = _ExplodingSink()
-    fan_out = FanOutSink([before_first, exploding, healthy])
-    dropped_before = dropped_event_count()
-    for event in _sample_events():
-        fan_out.emit(event)  # must not raise
-    assert len(before_first.events) == 5
-    assert len(healthy.events) == 5  # sinks *after* the broken one still fed
-    assert len(exploding.events) == 5
-    assert dropped_event_count() == dropped_before + 5
+    with ambient_sink(before_first), ambient_sink(exploding), ambient_sink(healthy):
+        dropped_before = dropped_event_count()
+        for event in _sample_events():
+            emit(event)  # must not raise
+        dropped = dropped_event_count() - dropped_before
+    assert len(_sampled(before_first)) == 5
+    assert len(_sampled(healthy)) == 5  # sinks *after* the broken one still fed
+    assert len(_sampled(exploding)) == 5
+    assert dropped == 5
 
 
 def test_stream_sink_survives_a_closed_stream():

@@ -17,6 +17,7 @@ from repro.engine.executor import (
     run_cluster_job,
 )
 from repro.engine.persist import fsa_equal, fsa_to_dict
+from repro.obs.trace import ambient_sink
 from repro.lang.pretty import pretty_program
 from repro.learn import Atlas, AtlasConfig
 
@@ -71,8 +72,8 @@ def test_outcomes_arrive_in_cluster_order(library_program, interface):
         ClusterJob(index=index, classes=tuple(classes), seed=atlas.config.seed + index)
         for index, classes in enumerate(TEST_CLUSTERS)
     ]
-    sink = CollectingSink()
-    outcomes = ParallelExecutor(max_workers=2).run(atlas, jobs, sink)
+    with ambient_sink(CollectingSink(), thread_local=True) as sink:
+        outcomes = ParallelExecutor(max_workers=2).run(atlas, jobs)
     assert [outcome.job.index for outcome in outcomes] == [0, 1]
     assert [outcome.result.classes for outcome in outcomes] == [("Box",), ("StrangeBox",)]
     started = sink.of_type(ClusterStarted)
@@ -82,9 +83,9 @@ def test_outcomes_arrive_in_cluster_order(library_program, interface):
 
 
 def test_run_emits_run_level_events(library_program, interface):
-    sink = CollectingSink()
     atlas = Atlas(library_program, interface, _config(clusters=[("Box",)]))
-    atlas.run(events=sink)
+    with ambient_sink(CollectingSink(), thread_local=True) as sink:
+        atlas.run()
     run_started = sink.of_type(RunStarted)
     run_finished = sink.of_type(RunFinished)
     assert len(run_started) == 1 and run_started[0].num_clusters == 1
@@ -120,4 +121,4 @@ def test_make_executor_factory():
 
 def test_parallel_executor_with_no_jobs(library_program, interface):
     atlas = Atlas(library_program, interface, _config())
-    assert ParallelExecutor().run(atlas, [], CollectingSink()) == []
+    assert ParallelExecutor().run(atlas, []) == []

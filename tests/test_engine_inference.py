@@ -13,6 +13,7 @@ from repro.engine import CacheFlushed, CollectingSink, InferenceEngine, fsa_equa
 from repro.engine.events import RunFinished, RunStarted
 from repro.lang.pretty import pretty_program
 from repro.learn import AtlasConfig
+from repro.obs.trace import ambient_sink
 
 
 def _config():
@@ -47,9 +48,9 @@ def test_warm_parallel_run_matches_cold_serial(tmp_path, library_program, interf
 
 
 def test_engine_emits_cache_flush_events(tmp_path, library_program, interface):
-    sink = CollectingSink()
-    engine = InferenceEngine(cache_dir=str(tmp_path / "cache"), events=sink)
-    engine.run(_config(), library_program=library_program, interface=interface)
+    engine = InferenceEngine(cache_dir=str(tmp_path / "cache"))
+    with ambient_sink(CollectingSink(), thread_local=True) as sink:
+        engine.run(_config(), library_program=library_program, interface=interface)
     assert len(sink.of_type(RunStarted)) == 1
     assert len(sink.of_type(RunFinished)) == 1
     flushes = sink.of_type(CacheFlushed)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.diff import FuzzConfig, run_fuzz
+from repro.engine.events import RunFinished
 from repro.obs import (
     build_trace,
     install_journal,
@@ -71,6 +72,61 @@ def test_fuzz_journal_is_one_rooted_trace(tmp_path, capsys):
         "cli.fuzz", "fuzz.campaign", "fuzz.check",
         "analysis.analyze", "analysis.solve", "analysis.taint",
     } <= names
+    # the campaign's engine events ride the same route, stamped into the trace
+    events = [entry for entry in read_journal(journal) if not entry.is_span]
+    assert [entry.event for entry in events] == [
+        "FuzzStarted", "ProgramChecked", "ProgramChecked", "FuzzFinished",
+    ]
+    assert {entry.trace_id for entry in events} == {trace.trace_id}
+
+
+def engine_events(path):
+    """The names of a journal's engine events (everything but spans), in order."""
+    return [entry.event for entry in read_journal(path) if not entry.is_span]
+
+
+def test_learn_journal_holds_the_runs_engine_events(tmp_path, capsys):
+    journal = str(tmp_path / "learn.jsonl")
+    rc = main(
+        [
+            "learn", "--store", str(tmp_path / "specs"), "--cache-dir", str(tmp_path / "cache"),
+            "--cluster", "Box", "--budget", "300", "--journal", journal,
+        ]
+    )
+    assert rc == 0
+    assert engine_events(journal) == [
+        "RunStarted", "ClusterStarted", "ClusterFinished", "RunFinished", "CacheFlushed",
+    ]
+    assert one_trace(journal).roots[0].name == "cli.learn"
+    # the journal is the command's: nothing emitted after it returns lands there
+    assert trace_mod.journal_path() is None
+    trace_mod.emit(RunFinished(0, 0.0, 0, 0, 0.0, 0))
+    assert engine_events(journal)[-1] == "CacheFlushed"
+
+
+def test_plane_promote_journal_holds_the_promotion(
+    tmp_path, capsys, tiny_store, tiny_atlas_result, library_program
+):
+    from repro.service.store import STATE_CANDIDATE
+
+    candidate = tiny_store.put(
+        tiny_atlas_result,
+        library_program=library_program,
+        provenance={"parent": tiny_store.latest().spec_id},
+        state=STATE_CANDIDATE,
+    )
+    journal = str(tmp_path / "promote.jsonl")
+    rc = main(
+        [
+            "plane", "promote", "--store", str(tiny_store.root),
+            "--spec", candidate.spec_id, "--journal", journal,
+        ]
+    )
+    uninstall_journal(journal)
+    assert rc == 0
+    (promoted,) = [entry for entry in read_journal(journal) if entry.event == "SpecPromoted"]
+    assert promoted.data["spec_id"] == candidate.spec_id
+    assert engine_events(journal) == ["SpecPromoted"]
 
 
 def test_journal_defaults_to_the_environment_variable(tmp_path, capsys, monkeypatch):

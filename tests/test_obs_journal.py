@@ -21,8 +21,8 @@ def compiled(spec_id="s-v1", worker="proc-0"):
 def test_span_envelope_carries_the_spans_own_ids(tmp_path):
     path = str(tmp_path / "journal.jsonl")
     sink = JournalSink(path)
-    with trace.span("outer", sink=sink):
-        with trace.span("inner", sink=sink):
+    with trace.ambient_sink(sink, thread_local=True), trace.span("outer"):
+        with trace.span("inner"):
             pass
     sink.close()
 
@@ -42,8 +42,9 @@ def test_plain_events_are_stamped_with_the_ambient_context(tmp_path):
     path = str(tmp_path / "journal.jsonl")
     sink = JournalSink(path)
     event = compiled("s-v1", worker="proc-3")
-    with trace.span("request", sink=sink) as active:
-        sink.emit(event)
+    with trace.ambient_sink(sink, thread_local=True):
+        with trace.span("request") as active:
+            trace.emit(event)
     sink.emit(event)  # outside any span: no trace id
     sink.close()
 

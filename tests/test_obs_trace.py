@@ -12,10 +12,14 @@ def spans_of(sink):
     return [event for event in sink.events if isinstance(event, SpanFinished)]
 
 
+def collecting():
+    """A sink for the spans this thread finishes, registered thread-local."""
+    return trace.ambient_sink(CollectingSink(), thread_local=True)
+
+
 # ------------------------------------------------------------------ mechanics
 def test_root_span_mints_a_fresh_trace():
-    sink = CollectingSink()
-    with trace.span("outer", sink=sink) as active:
+    with collecting() as sink, trace.span("outer") as active:
         assert trace.current_context() is not None
         assert trace.current_context().trace_id == active.trace_id
     assert trace.current_context() is None
@@ -28,9 +32,8 @@ def test_root_span_mints_a_fresh_trace():
 
 
 def test_nested_spans_share_the_trace_and_parent_correctly():
-    sink = CollectingSink()
-    with trace.span("outer", sink=sink) as outer:
-        with trace.span("inner", sink=sink) as inner:
+    with collecting() as sink, trace.span("outer") as outer:
+        with trace.span("inner") as inner:
             assert inner.trace_id == outer.trace_id
     inner_event, outer_event = spans_of(sink)
     assert inner_event.name == "inner"  # inner finishes (and emits) first
@@ -42,25 +45,22 @@ def test_nested_spans_share_the_trace_and_parent_correctly():
 
 
 def test_forced_trace_id_roots_the_trace_under_the_callers_id():
-    sink = CollectingSink()
-    with trace.span("request", sink=sink, trace_id="cafe0123cafe0123"):
+    with collecting() as sink, trace.span("request", trace_id="cafe0123cafe0123"):
         pass
     (finished,) = spans_of(sink)
     assert finished.trace_id == "cafe0123cafe0123"
 
 
 def test_forced_trace_id_is_ignored_when_already_inside_a_trace():
-    sink = CollectingSink()
-    with trace.span("outer", sink=sink) as outer:
-        with trace.span("inner", sink=sink, trace_id="cafe0123cafe0123"):
+    with collecting() as sink, trace.span("outer") as outer:
+        with trace.span("inner", trace_id="cafe0123cafe0123"):
             pass
     inner_event, _outer_event = spans_of(sink)
     assert inner_event.trace_id == outer.trace_id
 
 
 def test_attrs_from_kwargs_and_set_are_stringified_and_sorted():
-    sink = CollectingSink()
-    with trace.span("work", sink=sink, b=2, a="x") as active:
+    with collecting() as sink, trace.span("work", b=2, a="x") as active:
         active.set("c", 3.5)
     (finished,) = spans_of(sink)
     assert finished.attrs == (("a", "x"), ("b", "2"), ("c", "3.5"))
@@ -68,19 +68,19 @@ def test_attrs_from_kwargs_and_set_are_stringified_and_sorted():
 
 
 def test_span_emits_even_when_the_body_raises():
-    sink = CollectingSink()
-    try:
-        with trace.span("failing", sink=sink):
-            raise RuntimeError("boom")
-    except RuntimeError:
-        pass
+    with collecting() as sink:
+        try:
+            with trace.span("failing"):
+                raise RuntimeError("boom")
+        except RuntimeError:
+            pass
     (finished,) = spans_of(sink)
     assert finished.name == "failing"
     assert trace.current_context() is None
 
 
 def test_span_finished_is_picklable_and_frozen():
-    with trace.span("work", sink=CollectingSink()):
+    with collecting(), trace.span("work"):
         pass
     event = SpanFinished(
         name="n", trace_id="t", span_id="s", parent_id=None,
@@ -128,20 +128,20 @@ def test_thread_local_ambient_sink_never_sees_other_threads():
 
 
 def test_explicit_sink_overlapping_ambient_delivers_exactly_once():
+    """A sink registered both process-global and thread-local: once."""
     sink = CollectingSink()
-    with trace.ambient_sink(sink):
-        with trace.span("once", sink=sink):
+    with trace.ambient_sink(sink), trace.ambient_sink(sink, thread_local=True):
+        with trace.span("once"):
             pass
-    assert len(spans_of(sink)) == 1
+    assert [event.name for event in spans_of(sink)] == ["once"]
 
 
 # ------------------------------------------------------ cross-thread, -process
 def test_activate_adopts_a_context_and_restores_the_previous_one():
-    sink = CollectingSink()
     parent = TraceContext(trace_id="feed0123feed0123", span_id="0123456789abcdef")
-    with trace.activate(parent):
+    with collecting() as sink, trace.activate(parent):
         assert trace.current_context() == parent
-        with trace.span("child", sink=sink):
+        with trace.span("child"):
             pass
     assert trace.current_context() is None
     (finished,) = spans_of(sink)
@@ -163,14 +163,14 @@ def test_capture_is_none_outside_any_trace_or_journal():
 
 def test_capture_and_adopt_round_trip_the_context():
     sink = CollectingSink()
-    with trace.span("parent", sink=CollectingSink()) as parent:
+    with trace.span("parent") as parent:
         state = trace.capture()
     assert state is not None
     assert pickle.loads(pickle.dumps(state)) == state
 
     def worker():
         trace.adopt(pickle.loads(pickle.dumps(state)))
-        with trace.span("adopted", sink=sink):
+        with trace.ambient_sink(sink, thread_local=True), trace.span("adopted"):
             pass
 
     thread = threading.Thread(target=worker)

@@ -13,6 +13,7 @@ mean no repair could ever promote.
 import pytest
 
 from repro.engine.events import CollectingSink, ShadowCompared
+from repro.obs.trace import ambient_sink
 from repro.plane import PromotionPolicy, golden_replay, replay_shadow, run_canary
 from repro.plane.canary import CanaryReport, GoldenReplay, ShadowSummary, diff_flows
 from repro.service.api import AnalyzeRequest, SuiteSpec, run_request
@@ -67,10 +68,8 @@ def test_golden_replay_never_blocks_an_improving_candidate(
 def test_shadow_replay_flags_lost_flows_only(
     ground_truth_analyzer, handwritten_analyzer
 ):
-    sink = CollectingSink()
-    summary = replay_shadow(
-        ground_truth_analyzer, handwritten_analyzer, _requests(), events=sink
-    )
+    with ambient_sink(CollectingSink(), thread_local=True) as sink:
+        summary = replay_shadow(ground_truth_analyzer, handwritten_analyzer, _requests())
     assert summary.compared == 3
     assert summary.mismatches > 0
     assert summary.errors == 0

@@ -28,12 +28,11 @@ from repro.engine.events import (
     CandidatePublished,
     CanaryFinished,
     CollectingSink,
-    FanOutSink,
     SpecPromoted,
     SpecReloaded,
     SpecRolledBack,
 )
-from repro.obs import JournalSink
+from repro.obs import JournalSink, add_ambient_sink, remove_ambient_sink
 from repro.plane import ControlPlane, PlaneConfig, seed_store
 from repro.plane.control import PROMOTED, ROLLED_BACK
 from repro.server.procpool import ProcessWorkerPool
@@ -113,19 +112,20 @@ def converged(tmp_path_factory, request):
 
     journal_path = str(root / "journal.jsonl")
     sink = CollectingSink()
-    events = FanOutSink([sink, JournalSink(journal_path)])
+    # process-global: the pool's loop thread emits reloads and shadow diffs
+    for ambient in (sink, JournalSink(journal_path)):
+        add_ambient_sink(ambient)
+        request.addfinalizer(lambda ambient=ambient: remove_ambient_sink(ambient))
 
     pool = ProcessWorkerPool(
         store,
         processes=2,
         queue_depth=64,
-        events=events,
         library_program=library_program,
     )
     plane = ControlPlane(
         store,
         config=_config(),
-        events=events,
         library_program=library_program,
         interface=interface,
         pool=pool,

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.engine.events import CollectingSink, SpecPromoted, SpecRolledBack
+from repro.obs.trace import ambient_sink
 from repro.plane import PromotionError, SpecLifecycle, seed_store
 from repro.service.store import (
     STATE_CANDIDATE,
@@ -22,7 +23,14 @@ from repro.service.store import (
 
 @pytest.fixture
 def lifecycle(tiny_store):
-    return SpecLifecycle(tiny_store, events=CollectingSink())
+    return SpecLifecycle(tiny_store)
+
+
+@pytest.fixture
+def trail():
+    """The events this test's thread emits."""
+    with ambient_sink(CollectingSink(), thread_local=True) as sink:
+        yield sink
 
 
 def _publish_candidate(store, tiny_atlas_result, library_program, parent=None):
@@ -44,7 +52,7 @@ def test_promote_requires_a_candidate(lifecycle, tiny_store):
 
 
 def test_promote_makes_candidate_servable_and_emits_trail(
-    lifecycle, tiny_store, tiny_atlas_result, library_program
+    lifecycle, trail, tiny_store, tiny_atlas_result, library_program
 ):
     incumbent = tiny_store.latest()
     candidate = _publish_candidate(
@@ -59,14 +67,14 @@ def test_promote_makes_candidate_servable_and_emits_trail(
     assert tiny_store.current_state(candidate.spec_id) == STATE_PROMOTED
     assert tiny_store.latest().spec_id == candidate.spec_id
     assert lifecycle.candidates() == ()
-    promoted = lifecycle.events.of_type(SpecPromoted)
+    promoted = trail.of_type(SpecPromoted)
     assert len(promoted) == 1
     assert promoted[0].spec_id == candidate.spec_id
     assert promoted[0].parent == incumbent.spec_id
 
 
 def test_tampered_candidate_is_rejected_and_rolled_back(
-    lifecycle, tiny_store, tiny_atlas_result, library_program
+    lifecycle, trail, tiny_store, tiny_atlas_result, library_program
 ):
     incumbent = tiny_store.latest()
     candidate = _publish_candidate(tiny_store, tiny_atlas_result, library_program)
@@ -85,12 +93,12 @@ def test_tampered_candidate_is_rejected_and_rolled_back(
     assert excinfo.value.rolled_back
     assert tiny_store.current_state(candidate.spec_id) == STATE_ROLLED_BACK
     assert tiny_store.latest().spec_id == incumbent.spec_id  # incumbent keeps serving
-    rollbacks = lifecycle.events.of_type(SpecRolledBack)
+    rollbacks = trail.of_type(SpecRolledBack)
     assert len(rollbacks) == 1
     assert rollbacks[0].spec_id == candidate.spec_id
     assert "integrity" in rollbacks[0].reason
     assert rollbacks[0].restored_spec_id == incumbent.spec_id
-    assert lifecycle.events.of_type(SpecPromoted) == []
+    assert trail.of_type(SpecPromoted) == []
 
 
 def test_rollback_reports_the_restored_predecessor(

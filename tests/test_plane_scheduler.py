@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine.events import CampaignFinished, CampaignStarted, CollectingSink
+from repro.obs.trace import ambient_sink
 from repro.plane import ALL_FAMILIES, CampaignScheduler, ScheduleConfig
 
 
@@ -47,16 +48,15 @@ def test_empty_family_schedule_is_rejected(tiny_store):
 
 
 def test_run_campaign_emits_the_journal_trail(tiny_store, library_program, interface):
-    sink = CollectingSink()
     scheduler = CampaignScheduler(
         tiny_store,
         config=ScheduleConfig(families=("alias-chains",), budget=2, seed=5, shrink=False),
-        events=sink,
         library_program=library_program,
         interface=interface,
     )
     spec_id = tiny_store.latest().spec_id
-    report = scheduler.run_campaign(spec_id, cycle=0)
+    with ambient_sink(CollectingSink(), thread_local=True) as sink:
+        report = scheduler.run_campaign(spec_id, cycle=0)
 
     assert report.programs == 2
     started = sink.of_type(CampaignStarted)

@@ -11,7 +11,7 @@ pool hot-reloads the repaired version under in-flight load.
 import pytest
 
 from repro.diff.runner import FuzzConfig, run_fuzz
-from repro.engine.events import CollectingSink, SpecCompiled, SpecReloaded
+from repro.engine.events import SpecCompiled, SpecReloaded
 from repro.repair import RepairEngine
 from repro.server.procpool import ProcessWorkerPool
 from repro.service.api import AnalyzeRequest, SuiteSpec
@@ -67,7 +67,7 @@ def test_closed_loop_converges_to_zero_divergences(taint_report, repaired):
 
 
 def test_server_hot_reloads_the_repaired_spec_under_load(
-    repaired, taint_report, tiny_atlas_result, library_program, wait_until
+    repaired, taint_report, tiny_atlas_result, library_program, wait_until, global_sink
 ):
     store, outcome = repaired
     repaired_id = outcome.record.spec_id
@@ -76,10 +76,10 @@ def test_server_hot_reloads_the_repaired_spec_under_load(
     serving_store = SpecStore(store.root + "-serving")
     baseline = serving_store.put(tiny_atlas_result, library_program=library_program)
 
-    sink = CollectingSink()
+    sink = global_sink
     request = AnalyzeRequest(suite=SuiteSpec(count=1, max_statements=30), include_timing=False)
     pool = ProcessWorkerPool(
-        serving_store, processes=2, queue_depth=64, events=sink, library_program=library_program
+        serving_store, processes=2, queue_depth=64, library_program=library_program
     )
     with pool:
         first_wave = [pool.submit(request) for _ in range(6)]

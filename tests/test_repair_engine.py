@@ -24,6 +24,7 @@ from repro.engine.events import (
 )
 from repro.engine.persist import fsa_equal, fsa_to_dict
 from repro.library.handwritten import handwritten_fsa
+from repro.obs.trace import ambient_sink
 from repro.repair import RepairEngine
 from repro.repair.engine import RepairConfig
 from repro.service.store import SpecStore
@@ -58,9 +59,9 @@ def test_empty_divergence_list_is_a_noop(tmp_path, library_program):
 
 
 def test_repair_publishes_a_verified_version_with_provenance(tmp_path, handwritten_report):
-    sink = CollectingSink()
-    engine = _engine(tmp_path, events=sink)
-    outcome = engine.repair(handwritten_report, verify=True)
+    engine = _engine(tmp_path)
+    with ambient_sink(CollectingSink(), thread_local=True) as sink:
+        outcome = engine.repair(handwritten_report, verify=True)
 
     assert not outcome.no_op
     assert outcome.plan.divergences and not outcome.plan.unrepairable

@@ -17,7 +17,7 @@ import threading
 import pytest
 
 from repro.server.bench import canonical_reports, fetch_json, post_analyze
-from repro.server.front import ShardedAnalysisServer
+from repro.server.front import MAX_HEADERS, ShardedAnalysisServer
 from repro.service.api import (
     AnalyzeRequest,
     SuiteSpec,
@@ -253,6 +253,36 @@ def test_unframeable_input_gets_a_typed_4xx_and_a_closed_connection(front, data,
     assert _raw_exchange(front.address, data) == status
     health = fetch_json(front.url, "/healthz")  # a fresh connection is served
     assert health["status"] == "ok"
+
+
+def _header_lines(count: int) -> bytes:
+    return b"".join(b"X-Header-%d: v\r\n" % index for index in range(count))
+
+
+def _read_to_close(sock) -> bytes:
+    """Everything the peer sends until it closes (a reset counts as closed)."""
+    reply = b""
+    try:
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                return reply
+            reply += chunk
+    except ConnectionResetError:
+        return reply
+
+
+def test_a_101st_header_line_gets_431_and_a_closed_connection(front):
+    """The header section is bounded like http.client bounds it: 100 header
+    lines are served, and the 101st is answered 431 before the rest of the
+    section is read, then the connection is closed."""
+    request = b"GET /healthz HTTP/1.1\r\n"
+    assert _raw_exchange(front.address, request + _header_lines(MAX_HEADERS) + b"\r\n") == 200
+    with socket.create_connection(front.address, timeout=30) as sock:
+        sock.sendall(request + _header_lines(MAX_HEADERS + 1) + b"\r\n")
+        reply = _read_to_close(sock)  # a door that kept it open times out here
+    assert reply.startswith(b"HTTP/1.1 431 ")
+    assert fetch_json(front.url, "/healthz")["status"] == "ok"
 
 
 def _post_in_background(address, payload):

@@ -7,7 +7,7 @@ version while requests are in flight, emits ``SpecReloaded``, and keeps
 serving under it.
 """
 
-from repro.engine.events import CollectingSink, SpecCompiled, SpecReloaded
+from repro.engine.events import SpecCompiled, SpecReloaded
 from repro.server.procpool import ProcessWorkerPool
 from repro.service.api import AnalyzeRequest, SuiteSpec, handle_request
 
@@ -21,9 +21,9 @@ def _flows(response):
 
 
 def test_hot_reload_under_load_drops_nothing(
-    tiny_store, tiny_atlas_result, library_program, wait_until
+    tiny_store, tiny_atlas_result, library_program, wait_until, global_sink
 ):
-    sink = CollectingSink()
+    sink = global_sink
     expected = _flows(handle_request(_request(), tiny_store, library_program=library_program))
     old_spec_id = tiny_store.latest().spec_id
 
@@ -31,7 +31,6 @@ def test_hot_reload_under_load_drops_nothing(
         tiny_store,
         processes=2,
         queue_depth=64,
-        events=sink,
         library_program=library_program,
     )
     with pool:
@@ -76,15 +75,10 @@ def test_hot_reload_under_load_drops_nothing(
 
 
 def test_polling_thread_bumps_the_reload_counter(
-    tiny_store, tiny_atlas_result, library_program, wait_until
+    tiny_store, tiny_atlas_result, library_program, wait_until, global_sink
 ):
-    sink = CollectingSink()
-    pool = ProcessWorkerPool(
-        tiny_store,
-        processes=1,
-        events=sink,
-        library_program=library_program,
-    )
+    sink = global_sink
+    pool = ProcessWorkerPool(tiny_store, processes=1, library_program=library_program)
     with pool:
         pool.start_polling(0.05)
         tiny_store.put(tiny_atlas_result, library_program=library_program)

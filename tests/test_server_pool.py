@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.events import CollectingSink, SpecCompiled, SpecReloaded
+from repro.engine.events import SpecCompiled, SpecReloaded
 from repro.server.procpool import (
     MAX_CACHED_ANALYZERS,
     PoolSaturated,
@@ -33,9 +33,9 @@ def pool_factory(tiny_store, library_program):
 
 
 # ------------------------------------------------------------- warm compilation
-def test_specs_compile_once_per_worker_not_per_request(pool_factory):
-    sink = CollectingSink()
-    pool = pool_factory(processes=2, events=sink)
+def test_specs_compile_once_per_worker_not_per_request(pool_factory, global_sink):
+    sink = global_sink
+    pool = pool_factory(processes=2)
     pool.start()
     futures = [pool.submit(SMALL) for _ in range(6)]
     responses = [future.result(timeout=60) for future in futures]
@@ -78,9 +78,11 @@ def test_submit_before_start_is_an_error(pool_factory):
 
 
 # ------------------------------------------------------------------ hot reload
-def test_poll_once_swaps_to_newer_spec(pool_factory, tiny_store, tiny_atlas_result, library_program):
-    sink = CollectingSink()
-    pool = pool_factory(processes=1, events=sink)
+def test_poll_once_swaps_to_newer_spec(
+    pool_factory, tiny_store, tiny_atlas_result, library_program, global_sink
+):
+    sink = global_sink
+    pool = pool_factory(processes=1)
     pool.start()
     first = pool.submit(SMALL).result(timeout=60)
     assert first.spec_id == tiny_store.latest().spec_id
@@ -113,11 +115,13 @@ def test_in_flight_request_keeps_its_analyzer_across_reload(
 
 
 # -------------------------------------------------------------- pinned spec ids
-def test_explicitly_pinned_spec_id_is_served(pool_factory, tiny_store, tiny_atlas_result, library_program):
+def test_explicitly_pinned_spec_id_is_served(
+    pool_factory, tiny_store, tiny_atlas_result, library_program, global_sink
+):
     old = tiny_store.latest().spec_id
     tiny_store.put(tiny_atlas_result, library_program=library_program)
-    sink = CollectingSink()
-    pool = pool_factory(processes=1, events=sink)
+    sink = global_sink
+    pool = pool_factory(processes=1)
     pool.start()  # compiles the new latest
     pinned = AnalyzeRequest(suite=SuiteSpec(count=1, max_statements=40), spec_id=old)
     response = pool.submit(pinned).result(timeout=60)

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.engine.events import CollectingSink, SpecCompiled, SpecReloaded
+from repro.engine.events import SpecCompiled, SpecReloaded
 from repro.obs.trace import SpanFinished, TraceContext, new_id
 from repro.server.metrics import ServerMetrics
 from repro.server.procpool import PoolSaturated, ProcessWorkerPool, WorkerLost
@@ -68,15 +68,15 @@ def test_empty_store_fails_before_any_fork(tmp_path, library_program):
 
 
 def test_responses_match_inprocess_and_compile_once_per_process(
-    tiny_store, library_program, interface
+    tiny_store, library_program, interface, global_sink
 ):
-    sink = CollectingSink()
+    sink = global_sink
     request = _request()
     expected = handle_request(
         request, tiny_store, library_program=library_program, interface=interface
     )
     pool = ProcessWorkerPool(
-        tiny_store, processes=2, queue_depth=32, events=sink, library_program=library_program
+        tiny_store, processes=2, queue_depth=32, library_program=library_program
     )
     with pool:
         assert len(sink.of_type(SpecCompiled)) == 2  # one per process, at startup
@@ -92,13 +92,12 @@ def test_responses_match_inprocess_and_compile_once_per_process(
 
 
 def test_each_request_is_one_message_with_the_same_telemetry(
-    tiny_store, library_program, tmp_path
+    tiny_store, library_program, tmp_path, global_sink
 ):
-    sink = CollectingSink()
+    sink = global_sink
     pool = ProcessWorkerPool(
         tiny_store,
         processes=2,
-        events=sink,
         library_program=library_program,
         analysis_cache_dir=str(tmp_path / "analysis-cache"),
     )
@@ -217,13 +216,13 @@ def test_saturation_raises_instead_of_queueing_unboundedly(
 
 
 def test_hot_reload_under_load_drops_nothing(
-    tiny_store, tiny_atlas_result, library_program
+    tiny_store, tiny_atlas_result, library_program, global_sink
 ):
-    sink = CollectingSink()
+    sink = global_sink
     expected = _flows(handle_request(_request(), tiny_store, library_program=library_program))
     old_spec_id = tiny_store.latest().spec_id
     pool = ProcessWorkerPool(
-        tiny_store, processes=2, queue_depth=64, events=sink, library_program=library_program
+        tiny_store, processes=2, queue_depth=64, library_program=library_program
     )
     with pool:
         startup_compiles = len(sink.of_type(SpecCompiled))
@@ -275,14 +274,12 @@ def test_pinned_requests_are_served_under_their_spec(
 
 
 def test_a_pin_to_the_served_spec_routes_like_an_unpinned_request(
-    tiny_store, tiny_atlas_result, library_program
+    tiny_store, tiny_atlas_result, library_program, global_sink
 ):
     old_spec_id = tiny_store.latest().spec_id
     record = tiny_store.put(tiny_atlas_result, library_program=library_program)
-    sink = CollectingSink()
-    pool = ProcessWorkerPool(
-        tiny_store, processes=2, events=sink, library_program=library_program
-    )
+    sink = global_sink
+    pool = ProcessWorkerPool(tiny_store, processes=2, library_program=library_program)
 
     def workers(spec_id):
         """The workers that two concurrent requests pinned to *spec_id* land on."""
@@ -372,15 +369,17 @@ def test_dead_workers_lost_shadow_is_reported_and_nothing_hangs(
             pool.submit(_request())
 
 
-def test_a_worker_killed_during_a_reply_burst_wedges_nothing(tiny_store, library_program):
+def test_a_worker_killed_during_a_reply_burst_wedges_nothing(
+    tiny_store, library_program, global_sink
+):
     """Both workers answer a burst at once and one is killed in the middle of
     it.  Every request still gets exactly one answer -- from the survivor, or
     from the victim when it finished before it died -- the survivor serves on,
     and stop() returns promptly."""
-    sink = CollectingSink()
+    sink = global_sink
     expected = _flows(handle_request(_request(), tiny_store, library_program=library_program))
     pool = ProcessWorkerPool(
-        tiny_store, processes=2, queue_depth=32, events=sink, library_program=library_program
+        tiny_store, processes=2, queue_depth=32, library_program=library_program
     )
     pool.start()
     try:
