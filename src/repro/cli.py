@@ -1233,7 +1233,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--analysis-cache",
         default=None,
         metavar="DIR",
-        help="analysis result cache directory to compact (every worker shard)",
+        help="analysis result cache directory to compact (every worker shard); "
+        "run it while no daemon serves from DIR: a running daemon keeps "
+        "appending to the files compaction replaced, and those entries are lost",
     )
     _add_journal_flag(compact)
     compact.set_defaults(func=cmd_compact_cache)

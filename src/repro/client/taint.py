@@ -61,11 +61,12 @@ class InformationFlowAnalysis:
 
     # ------------------------------------------------------------------ helpers
     def _secret_objects(self, result: PointsToResult) -> Dict[ObjNode, Tuple[str, str]]:
-        """Abstract objects allocated inside source methods, keyed to their source."""
+        """The graph's abstract objects allocated inside source methods, keyed to their source."""
         secrets: Dict[ObjNode, Tuple[str, str]] = {}
-        for node in result.graph.nodes:
-            if isinstance(node, ObjNode) and (node.class_name, node.method_name) in SOURCE_METHODS:
-                secrets[node] = (node.class_name, node.method_name)
+        for obj in result.graph.objects:
+            source = (obj.class_name, obj.method_name)
+            if source in SOURCE_METHODS:
+                secrets[obj] = source
         return secrets
 
     def _sink_call_sites(self):

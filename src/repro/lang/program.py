@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from repro.lang.statements import Statement
 from repro.lang.types import OBJECT, VOID, is_reference
@@ -30,9 +30,12 @@ class Parameter:
     type: str = OBJECT
 
 
-@dataclass(frozen=True)
-class MethodRef:
-    """A fully qualified reference to a method: ``ClassName.method_name``."""
+class MethodRef(NamedTuple):
+    """A fully qualified reference to a method: ``ClassName.method_name``.
+
+    A tuple, so that building and hashing one runs in C; it hashes and
+    compares like its ``(class_name, method_name)`` pair.
+    """
 
     class_name: str
     method_name: str

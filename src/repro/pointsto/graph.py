@@ -15,7 +15,7 @@ static calls, whose targets are known syntactically, are resolved eagerly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Set, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Set, Tuple
 
 from repro.lang.program import CONSTRUCTOR, MethodDef, MethodRef, Program, RECEIVER
 from repro.lang.statements import Assign, Call, Const, Load, New, Return, Store
@@ -31,9 +31,13 @@ from repro.pointsto.labels import (
 RETURN_VARIABLE = "@return"
 
 
-@dataclass(frozen=True)
-class VarNode:
-    """A local variable (or parameter, receiver, return pseudo-variable) of a method."""
+class VarNode(NamedTuple):
+    """A local variable (or parameter, receiver, return pseudo-variable) of a method.
+
+    Graph nodes are tuples, so that building, hashing and comparing one runs
+    in C; each hashes and compares like its field tuple.  A ``VarNode`` (three
+    fields) never equals an :class:`ObjNode` (four).
+    """
 
     class_name: str
     method_name: str
@@ -43,8 +47,7 @@ class VarNode:
         return f"{self.class_name}.{self.method_name}:{self.name}"
 
 
-@dataclass(frozen=True)
-class ObjNode:
+class ObjNode(NamedTuple):
     """An abstract object: the allocation site at statement *index* of a method."""
 
     class_name: str
@@ -95,7 +98,12 @@ class PointsToGraph:
     :mod:`repro.solve` relies on to extract only a client (or only the
     appended tail of an edited method) on top of an already-solved base.
     Constructor and static-call resolution still consult the *whole*
-    program.
+    program.  The walk visits only the classes *only* names, so a slice costs
+    what it extracts, not the size of the program around it.
+
+    ``objects`` lists the abstract objects extracted, in extraction order:
+    the taint client reads its secret objects from it instead of scanning
+    every node.
     """
 
     def __init__(
@@ -109,6 +117,7 @@ class PointsToGraph:
         self.call_sites: List[CallSite] = []
         self.fields: Set[str] = set()
         self.nodes: Set[object] = set()
+        self.objects: List[ObjNode] = []
         self._extract()
 
     # ------------------------------------------------------------------ extraction
@@ -118,15 +127,22 @@ class PointsToGraph:
         self.nodes.add(target)
 
     def _extract(self) -> None:
-        for cls, method in self.program.iter_methods():
-            start = 0
-            if self._only is not None:
-                methods = self._only.get(cls.name)
-                if methods is None or method.name not in methods:
+        only = self._only
+        for cls in self.program:
+            if only is None:
+                starts = None
+            elif cls.name in only:
+                starts = only[cls.name]
+            else:
+                continue  # outside the slice: none of its methods is visited
+            for method in cls.methods.values():
+                if starts is None:
+                    start = 0
+                elif method.name in starts:
+                    start = starts[method.name]
+                else:
                     continue
-                start = methods[method.name]
-            ref = MethodRef(cls.name, method.name)
-            self._extract_method(ref, method, start)
+                self._extract_method(MethodRef(cls.name, method.name), method, start)
 
     def _bind_call_arguments(
         self,
@@ -147,7 +163,8 @@ class PointsToGraph:
             self._add_edge(return_node(callee_ref), ASSIGN, target)
 
     def _extract_method(self, ref: MethodRef, method: MethodDef, start: int = 0) -> None:
-        local = lambda name: var_node(ref, name)
+        class_name, method_name = ref
+        local = lambda name: VarNode(class_name, method_name, name)
         # Ensure interface variables exist as nodes even for empty/native bodies.
         if not method.is_static:
             self.nodes.add(receiver_node(ref))
@@ -156,15 +173,14 @@ class PointsToGraph:
         if method.returns_reference():
             self.nodes.add(return_node(ref))
 
-        for index, statement in enumerate(method.body):
-            if index < start:
-                continue
+        for index, statement in enumerate(method.body[start:], start):
             if isinstance(statement, Assign):
                 self._add_edge(local(statement.source), ASSIGN, local(statement.target))
             elif isinstance(statement, Const):
                 continue  # literals carry no points-to information
             elif isinstance(statement, New):
-                obj = ObjNode(ref.class_name, ref.method_name, index, statement.class_name)
+                obj = ObjNode(class_name, method_name, index, statement.class_name)
+                self.objects.append(obj)
                 self._add_edge(obj, NEW, local(statement.target))
                 self._resolve_constructor(ref, statement, local, index)
             elif isinstance(statement, Store):

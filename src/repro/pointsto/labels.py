@@ -14,17 +14,16 @@ twin ``v --X̄--> u``; the solvers' ``add_edge`` records both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(NamedTuple):
     """A grammar symbol, optionally parameterized by a field name.
 
     ``Store`` and ``Load`` terminals (and the helper nonterminals introduced
     during normalization) carry the field they access; all other symbols have
-    ``field is None``.
+    ``field is None``.  A tuple, so that building, hashing and comparing one
+    runs in C; it hashes and compares like its ``(name, field)`` pair.
     """
 
     name: str

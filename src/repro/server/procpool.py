@@ -207,21 +207,26 @@ class WorkerLost(RuntimeError):
     retry_after_seconds = DEFAULT_RETRY_AFTER_SECONDS
 
 
-def _evict_stale(analyzers: Dict[str, ClientAnalyzer], protected: set) -> None:
+def _evict_stale(
+    analyzers: Dict[str, ClientAnalyzer], protected: set
+) -> List[ClientAnalyzer]:
     """Bound a worker's analyzer cache (hot reloads and pinned ids add up).
 
     Drops the oldest analyzers outside *protected* (the dispatch target, the
     spec just used, the shadow candidate) past :data:`MAX_CACHED_ANALYZERS`
     -- a long-lived daemon's memory must not grow with the number of
-    deploys or with clients pinning historical spec ids.
+    deploys or with clients pinning historical spec ids -- and returns the
+    ones it dropped, oldest first.
     """
+    dropped = []
     while len(analyzers) > MAX_CACHED_ANALYZERS:
         for spec_id in analyzers:
             if spec_id not in protected:
-                del analyzers[spec_id]
+                dropped.append(analyzers.pop(spec_id))
                 break
         else:
-            return
+            break
+    return dropped
 
 
 def _worker_main(
@@ -294,8 +299,10 @@ def _worker_main(
         try:
             message = pickle.loads(conn.recv_bytes())
         except EOFError:
-            return  # the parent is gone
+            message = None  # the parent is gone
         if message is None:
+            for analyzer in analyzers.values():
+                analyzer.close()
             return
         job_id, request_doc, target_spec_id, context_doc, shadow_spec_id, enqueued_at = message
         # CLOCK_MONOTONIC is system-wide on Linux, so the parent's enqueue
@@ -312,9 +319,9 @@ def _worker_main(
         try:
             if spec_id not in analyzers:
                 analyzers[spec_id] = compile_spec(spec_id)
-            _evict_stale(
-                analyzers, {target_spec_id, spec_id, shadow_spec_id} - {None}
-            )
+            protected = {target_spec_id, spec_id, shadow_spec_id} - {None}
+            for dropped in _evict_stale(analyzers, protected):
+                dropped.close()
             with _trace.activate(context):
                 response = run_request(request, analyzers[spec_id])
         except SpecNotFoundError as error:

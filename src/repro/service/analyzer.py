@@ -240,6 +240,11 @@ class ClientAnalyzer:
                 )
         return self._cache
 
+    def close(self) -> None:
+        """Close the analysis cache's shard; a later answer opens it again."""
+        if self._cache is not None:
+            self._cache.close()
+
     def __getstate__(self) -> Dict:
         # the engine (a solved base closure) and the cache (an open directory
         # view) are per-process; worker processes rebuild them lazily

@@ -325,7 +325,10 @@ def handle_request(
         interface=interface,
         analysis_cache_dir=analysis_cache_dir,
     )
-    return run_request(request, analyzer)
+    try:
+        return run_request(request, analyzer)
+    finally:
+        analyzer.close()
 
 
 __all__ = [

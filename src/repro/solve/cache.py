@@ -21,13 +21,19 @@ concurrent appends never interleave; every worker loads the union of all
 files at startup, which is how warmth survives restarts and spreads across
 the shard.  Compaction keeps the last entry per key, preserves first-seen
 order, and replaces each file atomically.
+
+A cache opens its shard once, at its first ``put``, and appends each entry
+through that handle, flushed as one whole line, until :meth:`close
+<AnalysisResultCache.close>`.  So compaction is an offline operation: a live
+cache keeps appending to the file compaction replaced, and those entries
+are lost.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import BinaryIO, Dict, List, Optional, Tuple
 
 from repro.jsonl import CompactionStats, compact_json_lines, json_objects
 
@@ -55,6 +61,8 @@ class AnalysisResultCache:
     invisible to this instance.  ``put`` appends immediately (a serving
     worker's results must survive the process), unlike the oracle cache's
     buffered ``flush`` -- one analyzed program is one line, not thousands.
+    The shard stays open between puts; :meth:`close` closes it, and a later
+    ``put`` opens it again.
     """
 
     def __init__(self, directory: str, spec_key: str, worker: Optional[str] = None):
@@ -64,6 +72,7 @@ class AnalysisResultCache:
         name = ANALYSIS_CACHE_BASENAME + (f"-{worker}" if worker else "") + ".jsonl"
         self.path = os.path.join(self.directory, name)
         self._memory: Dict[str, List[Dict]] = {}
+        self._handle: Optional[BinaryIO] = None
         self._load()
 
     # -------------------------------------------------------------- interface
@@ -74,20 +83,21 @@ class AnalysisResultCache:
         if self._memory.get(digest) == flows:
             return
         self._memory[digest] = flows
-        os.makedirs(self.directory, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps(
-                    {
-                        "format": _ENTRY_FORMAT,
-                        "spec": self.spec_key,
-                        "digest": digest,
-                        "flows": flows,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        handle = self._handle
+        if handle is None:
+            os.makedirs(self.directory, exist_ok=True)
+            handle = self._handle = open(self.path, "ab")
+        entry = {"format": _ENTRY_FORMAT, "spec": self.spec_key, "digest": digest, "flows": flows}
+        # one write of one whole line, flushed at once: an append-mode file
+        # takes it in one piece, so a shard's lines never interleave
+        handle.write(json.dumps(entry, sort_keys=True).encode("utf-8") + b"\n")
+        handle.flush()
+
+    def close(self) -> None:
+        """Close the shard; a later :meth:`put` opens it again."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
     def __len__(self) -> int:
         return len(self._memory)

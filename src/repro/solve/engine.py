@@ -60,7 +60,7 @@ from repro.lang.program import MethodRef, Program
 from repro.lang.statements import Call, New
 from repro.pointsto.andersen import dispatch_to_fixpoint
 from repro.pointsto.grammar import build_flows_to_grammar
-from repro.pointsto.graph import CallSite, PointsToGraph
+from repro.pointsto.graph import CallSite, ObjNode, PointsToGraph
 from repro.pointsto.relations import PointsToResult
 from repro.solve.bitset import BitsetCFLSolver
 from repro.solve.delta import extension_starts
@@ -74,15 +74,22 @@ class GraphView:
     """The slice of :class:`PointsToGraph` downstream consumers actually use.
 
     :class:`~repro.pointsto.relations.PointsToResult` and the taint client
-    only read ``.nodes``, ``.fields`` and ``.program``; the engine assembles
-    those from its base snapshot plus the client extraction instead of
-    carrying a full re-extracted graph.
+    only read ``.nodes``, ``.fields``, ``.objects`` and ``.program``; the
+    engine assembles those from its base snapshot plus the client extraction
+    instead of carrying a full re-extracted graph.
     """
 
-    def __init__(self, program: Program, nodes: FrozenSet[object], fields: FrozenSet[str]):
+    def __init__(
+        self,
+        program: Program,
+        nodes: FrozenSet[object],
+        fields: FrozenSet[str],
+        objects: Tuple[ObjNode, ...],
+    ):
         self.program = program
         self.nodes = nodes
         self.fields = fields
+        self.objects = objects
 
 
 class _Snapshot:
@@ -93,13 +100,14 @@ class _Snapshot:
     base and the pooled snapshots hold one copy of each unwritten relation.
     """
 
-    __slots__ = ("solver", "nodes", "fields", "call_sites", "resolved", "client_doc")
+    __slots__ = ("solver", "nodes", "fields", "objects", "call_sites", "resolved", "client_doc")
 
     def __init__(
         self,
         solver: BitsetCFLSolver,
         nodes: FrozenSet[object],
         fields: FrozenSet[str],
+        objects: Tuple[ObjNode, ...],
         call_sites: Tuple[CallSite, ...],
         resolved: FrozenSet[Tuple[int, MethodRef]],
         client_doc: Optional[Dict],
@@ -107,6 +115,7 @@ class _Snapshot:
         self.solver = solver
         self.nodes = nodes
         self.fields = fields
+        self.objects = objects
         self.call_sites = call_sites
         self.resolved = resolved
         self.client_doc = client_doc
@@ -221,12 +230,13 @@ class CompiledAnalysisEngine:
             solver = BitsetCFLSolver(productions, nullable=())
             nodes: FrozenSet[object] = frozenset()
             fields: FrozenSet[str] = frozenset()
+            objects: Tuple[ObjNode, ...] = ()
             call_sites: Tuple[CallSite, ...] = ()
             resolved: Set[Tuple[int, MethodRef]] = set()
         else:
             solver = start.solver.fork()
             solver.add_productions(productions)
-            nodes, fields = start.nodes, start.fields
+            nodes, fields, objects = start.nodes, start.fields, start.objects
             call_sites, resolved = start.call_sites, set(start.resolved)
         for node in graph.nodes:
             solver.add_node(node)
@@ -234,6 +244,7 @@ class CompiledAnalysisEngine:
             solver.add_edge(source, symbol, target)
         nodes |= graph.nodes
         fields |= graph.fields
+        objects += tuple(graph.objects)
         call_sites += tuple(graph.call_sites)
         self.dispatch_rounds, self.dispatch_capped = dispatch_to_fixpoint(
             solver, program, call_sites, resolved, self.max_dispatch_rounds
@@ -242,11 +253,13 @@ class CompiledAnalysisEngine:
             solver=solver,
             nodes=nodes,
             fields=fields,
+            objects=objects,
             call_sites=call_sites,
             resolved=frozenset(resolved),
             client_doc=None,
         )
-        return PointsToResult(program, GraphView(program, nodes, fields), solver), snapshot
+        view = GraphView(program, nodes, fields, objects)
+        return PointsToResult(program, view, solver), snapshot
 
 
 __all__ = ["COLD", "CompiledAnalysisEngine", "GraphView", "INCREMENTAL"]

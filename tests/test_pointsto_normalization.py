@@ -176,7 +176,8 @@ def test_flows_to_normalization_closes_as_the_papers_on_soups(seed):
             assert set(solver.edges(symbol)) == set(papers.edges(symbol)), symbol
     everything = nodes + [VarNode("C", "m", "unused")]
     for solver in (papers, compiled):
-        result = PointsToResult(None, GraphView(None, frozenset(nodes), frozenset(fields)), solver)
+        view = GraphView(None, frozenset(nodes), frozenset(fields), ())
+        result = PointsToResult(None, view, solver)
         for left, right in itertools.product(everything, repeat=2):
             assert result.transfer(left, right) == papers.has_edge(left, TRANSFER, right)
             assert result.transfer_bar(left, right) == papers.has_edge(left, TRANSFER_BAR, right)

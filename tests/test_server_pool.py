@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine.events import SpecCompiled, SpecReloaded
+from repro.server import procpool
 from repro.server.procpool import (
     MAX_CACHED_ANALYZERS,
     PoolSaturated,
@@ -145,6 +146,38 @@ def test_worker_analyzer_cache_is_bounded():
     assert len(analyzers) == MAX_CACHED_ANALYZERS
     assert "spec-v6" in analyzers and "spec-v5" in analyzers  # in-use survive
     assert "spec-v0" not in analyzers  # oldest history evicted first
+
+
+def test_eviction_returns_what_it_drops():
+    analyzers = {f"spec-v{i}": f"analyzer-{i}" for i in range(MAX_CACHED_ANALYZERS + 2)}
+    dropped = _evict_stale(analyzers, {"spec-v0"})
+    assert dropped == ["analyzer-1", "analyzer-2"]  # oldest first, protected kept
+    assert _evict_stale(analyzers, set()) == []
+
+
+def test_a_worker_closes_the_analyzers_it_drops_and_holds(
+    pool_factory, tiny_store, tiny_atlas_result, library_program, tmp_path, monkeypatch
+):
+    """Evicted analyzers close at eviction, the rest when the worker exits."""
+    closed_log = tmp_path / "closed.log"
+
+    def logging_close(analyzer):
+        with open(closed_log, "a", encoding="utf-8") as handle:
+            handle.write(analyzer.spec_id + "\n")
+
+    # the pool forks its workers, which inherit both patches
+    monkeypatch.setattr(procpool.ClientAnalyzer, "close", logging_close)
+    monkeypatch.setattr(procpool, "MAX_CACHED_ANALYZERS", 1)
+    old = tiny_store.latest().spec_id
+    tiny_store.put(tiny_atlas_result, library_program=library_program)
+    pool = pool_factory(processes=1, analysis_cache_dir=str(tmp_path / "cache"))
+    pool.start()
+    current = pool.current_spec_id
+    pinned = AnalyzeRequest(suite=SuiteSpec(count=1, max_statements=40), spec_id=old)
+    assert pool.submit(pinned).result(timeout=60).spec_id == old
+    assert pool.submit(SMALL).result(timeout=60).spec_id == current  # evicts old
+    pool.stop()
+    assert closed_log.read_text(encoding="utf-8").split() == [old, current]
 
 
 # ----------------------------------------------------------------- empty store
